@@ -1,9 +1,9 @@
 """gossip_http: light clients exchanging header gossip with a live server.
 
 A `service.serve` server in a child process holds a full 2016-header
-window.  One generator process with two threads (two connections at most)
-sends a seeded stream of exchanges, each one `ClientDaemon.active_check`
-with sample size 1 over loopback HTTP:
+window.  One generator process with one thread, and so one connection at
+a time, sends a seeded stream of exchanges, each one
+`ClientDaemon.active_check` with sample size 1 over loopback HTTP:
 
     in_sync   40%  reader whose window ends on the server tip
     lagging   25%  reader 1-84 headers behind
@@ -15,14 +15,17 @@ with sample size 1 over loopback HTTP:
 
 Client windows are cut from one pre-mined honest chain relative to the
 server tip.  The benchmark's own pushes are the only writes, so it knows
-that tip.  Writes (push, hostile) take one lock among the generator
-threads, so each one sees an exact tip; reads run beside them.
+that tip.
 
-Each of four rounds first sends at a fixed rate (open loop), timing each
+Each of ten rounds first sends at a fixed rate (open loop), timing each
 exchange from the moment it was due, then runs the same mix back to back
-over both connections (closed loop) to measure capacity.
+(closed loop) to measure capacity.  The server child and the generator
+already fill the machine's two cores, so a second generator thread would
+only add scheduling noise: at two threads the closed loop completed no
+more exchanges per second than at one.
 """
 
+import gc
 import http.client
 import json
 import random
@@ -30,7 +33,6 @@ import resource
 import select
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -42,14 +44,19 @@ import common
 import measure
 from chains import Chain
 
-# A third below the closed-loop capacity (about 65/s on two vCPUs), so the
-# open loop still keeps up when a shared host runs 1.5 times slower; at
-# 40/s such a slowdown grew the backlog to seconds.
-RATE_PER_S = 30.0
-OPEN_SHARE = 0.8
-ROUNDS = 4
+# Exchanges are due every 50 ms, well above the slowest class (a push,
+# about 30 ms on two vCPUs), so a host running 1.4 times slower still
+# finishes each one before the next is due and the tail grows with the
+# host's speed, not with queueing.  At 30/s (33 ms) such a slowdown made
+# pushes overlap their successors and moved the tail by 40%; at 40/s the
+# backlog grew to seconds.
+RATE_PER_S = 20.0
+OPEN_SHARE = 0.7
+# The host's speed moves by up to 1.7 times from one stretch of seconds
+# to the next; ten short rounds give both phases a share of each stretch.
+ROUNDS = 10
+WARMUP_EXCHANGES = 40
 RATE_WINDOW = 20
-THREADS = 2
 WINDOW = 2016
 TIP0 = 2200
 # Pushes add at most 6 headers each; this leaves room for ~1100 pushes.
@@ -74,7 +81,7 @@ def class_stream(rng: random.Random, count: int) -> list[tuple[str, int]]:
 
     Reads are shuffled within each block.  Writes sit at evenly spaced
     slots in shuffled order, so any stretch of the stream holds its share
-    of them and two writes rarely wait on each other.
+    of them.
     """
     reads = [kind for kind, share in MIX for _ in range(share * BLOCK // 100) if kind not in WRITES]
     writes = [kind for kind, share in MIX for _ in range(share * BLOCK // 100) if kind in WRITES]
@@ -180,7 +187,6 @@ class Exchanges:
         self.address = address
         self.send = send or (lambda addr, msg: service.http_send(addr, msg))
         self.tip = TIP0
-        self.writer = threading.Lock()
         self.growth = gossip.DEFAULT_CONFIG.expected_growth
 
     def prepare(self, kind: str, param: int) -> dict:
@@ -270,22 +276,16 @@ class Exchanges:
         return None
 
     def run(self, job: dict) -> tuple[float, float, str | None]:
-        """Execute and check; returns (start, end, error) with end timed
-        before the checks run."""
-        if job["kind"] in WRITES:
-            with self.writer:
-                job = self.prepare(job["kind"], job["param"])
-                start = time.perf_counter()
-                error = _guard(self.execute, job)
-                end = time.perf_counter()
-                error = error or _guard(self.check, job)
-                if error is None and job["kind"] == "push":
-                    self.tip = job["base"] + job["param"]
-            return start, end, error
+        """Execute and check a prepared job; returns (start, end, error)
+        with end timed before the checks run.  A push that passes moves
+        the tip the next job is cut from."""
         start = time.perf_counter()
         error = _guard(self.execute, job)
         end = time.perf_counter()
-        return start, end, error or _guard(self.check, job)
+        error = error or _guard(self.check, job)
+        if error is None and job["kind"] == "push":
+            self.tip = job["base"] + job["param"]
+        return start, end, error
 
 
 def _guard(step, job: dict) -> str | None:
@@ -298,64 +298,40 @@ def _guard(step, job: dict) -> str | None:
 
 def open_loop(exchanges: Exchanges, jobs, rate: float, tracer=None) -> list[dict]:
     """Send `jobs` at `rate` per second; latency counts from the due time."""
-    records = [None] * len(jobs)
-    lock = threading.Lock()
-    cursor = iter(range(len(jobs)))
+    records = []
     begin = time.perf_counter() + 0.05
-
-    def worker():
-        while True:
-            with lock:
-                index = next(cursor, None)
-            if index is None:
-                return
-            kind, param = jobs[index]
-            due = begin + index / rate
-            job = {"kind": kind, "param": param}
-            if kind not in WRITES:
-                job = exchanges.prepare(kind, param)
-            pause = due - time.perf_counter()
-            if pause > 0:
-                time.sleep(pause)
-            if tracer is not None:
-                tracer.set_exchange(index + 1)
-            start, end, error = exchanges.run(job)
-            records[index] = {
-                "kind": kind, "latency_ms": (end - due) * 1000.0,
-                "late_ms": max(0.0, start - due) * 1000.0, "error": error,
-            }
-
-    _run_threads(worker)
+    for index, (kind, param) in enumerate(jobs):
+        due = begin + index / rate
+        job = exchanges.prepare(kind, param)
+        pause = due - time.perf_counter()
+        if pause > 0:
+            time.sleep(pause)
+        if tracer is not None:
+            tracer.set_exchange(index + 1)
+        start, end, error = exchanges.run(job)
+        records.append({
+            "kind": kind, "latency_ms": (end - due) * 1000.0,
+            "late_ms": max(0.0, start - due) * 1000.0, "error": error,
+        })
     return records
 
 
 def closed_loop(exchanges: Exchanges, jobs, seconds: float, tracer=None) -> tuple[list[dict], float]:
-    """Run `jobs` back to back on both threads until `seconds` pass or jobs
-    run out; returns the records and the wall time used."""
+    """Run `jobs` back to back until `seconds` pass or jobs run out;
+    returns the records and the wall time used."""
     records = []
-    lock = threading.Lock()
-    cursor = iter(range(len(jobs)))
     begin = time.perf_counter()
     deadline = begin + seconds
-
-    def worker():
-        while time.perf_counter() < deadline:
-            with lock:
-                index = next(cursor, None)
-            if index is None:
-                return
-            kind, param = jobs[index]
-            job = {"kind": kind, "param": param}
-            if kind not in WRITES:
-                job = exchanges.prepare(kind, param)
-            if tracer is not None:
-                tracer.set_exchange(-(index + 1))
-            start, end, error = exchanges.run(job)
-            records.append(
-                {"kind": kind, "latency_ms": (end - start) * 1000.0, "end": end, "error": error}
-            )
-
-    _run_threads(worker)
+    for index, (kind, param) in enumerate(jobs):
+        if time.perf_counter() >= deadline:
+            break
+        job = exchanges.prepare(kind, param)
+        if tracer is not None:
+            tracer.set_exchange(-(index + 1))
+        start, end, error = exchanges.run(job)
+        records.append(
+            {"kind": kind, "latency_ms": (end - start) * 1000.0, "end": end, "error": error}
+        )
     return records, time.perf_counter() - begin
 
 
@@ -369,17 +345,6 @@ def window_rates(records, wall: float) -> list[float]:
         for i in range(RATE_WINDOW, len(ends), RATE_WINDOW)
     ]
     return rates or [len(records) / wall]
-
-
-def _run_threads(worker) -> None:
-    helpers = [threading.Thread(target=worker) for _ in range(THREADS - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        worker()
-    finally:
-        for thread in helpers:
-            thread.join()
 
 
 def setup(work: Path, seed: int) -> tuple[Chain, ServerChild, float]:
@@ -420,9 +385,18 @@ def run(work: Path, seed: int, seconds: float, tracer=None) -> dict:
     chain, server, setup_s = setup(work, seed)
     errors = []
     extra = {}
+    # The pre-mined chain (about 80k objects) lives as long as the run.
+    # Frozen, it no longer makes every full collection in this process
+    # pause for 30-55 ms, pauses that took most of the open-loop tail.
+    # Objects the package makes during exchanges are collected as usual,
+    # and the server child is not frozen.
+    gc.freeze()
     try:
         exchanges = Exchanges(chain, server.address)
         if tracer is None:
+            # Untimed, so first-use costs stay out of both phases; its
+            # exchanges are still checked.
+            warmup, _ = closed_loop(exchanges, class_stream(rng, WARMUP_EXCHANGES), float("inf"))
             # Rounds spread both phases over the run, so one slow stretch
             # of the machine touches a part of each, not all of one.
             open_records, closed_records, rates = [], [], []
@@ -435,7 +409,7 @@ def run(work: Path, seed: int, seconds: float, tracer=None) -> dict:
                 segment, wall = closed_loop(exchanges, jobs, closed_seconds)
                 closed_records += segment
                 rates += window_rates(segment, wall)
-            records = open_records + closed_records
+            records = warmup + open_records + closed_records
         else:
             # The same fixed work untraced, then traced, gives the overhead.
             jobs = class_stream(rng, OVERHEAD_EXCHANGES)
@@ -455,6 +429,7 @@ def run(work: Path, seed: int, seconds: float, tracer=None) -> dict:
         if final["tipHeight"] != exchanges.tip:
             errors.append(f"server ended at {final['tipHeight']}, expected {exchanges.tip}")
     finally:
+        gc.unfreeze()
         report = server.stop()
     errors.extend(r["error"] for r in records if r["error"])
     summary = summarize(open_records)

@@ -116,6 +116,7 @@ def run(work, seed: int, seconds: float, tracer=None, recorded: dict | None = No
         },
         "details": {
             "scenarios_run": len(samples),
+            "ms_per_connect": samples,
             "tail_percentile": percentile,
             "digests": {str(s): digests[s] for s in seeds if s in digests},
         },

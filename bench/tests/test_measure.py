@@ -69,8 +69,8 @@ class _SlowExchanges:
 
 
 def test_open_loop_latency_counts_from_the_due_time():
-    # Ten jobs due 1 ms apart on two threads: each pair waits for the one
-    # before, so latency from the due time grows while service stays 20 ms.
+    # Ten jobs due 1 ms apart: each waits for the one before, so latency
+    # from the due time grows while service stays 20 ms.
     records = gossip_http.open_loop(_SlowExchanges(), [("in_sync", 0)] * 10, rate=1000.0)
     service_ms = _SlowExchanges.SERVICE_S * 1000.0
     assert all(r["latency_ms"] >= service_ms for r in records)
@@ -117,8 +117,5 @@ def test_every_class_passes_its_checks(live_server):
     exchanges = gossip_http.Exchanges(chain, address)
     errors = []
     for kind, param in gossip_http.class_stream(random.Random(3), 40):
-        job = {"kind": kind, "param": param}
-        if kind not in gossip_http.WRITES:
-            job = exchanges.prepare(kind, param)
-        errors.append(exchanges.run(job)[2])
+        errors.append(exchanges.run(exchanges.prepare(kind, param))[2])
     assert errors == [None] * 40

@@ -15,6 +15,7 @@ attack-probs table against the published reference values.
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -193,6 +194,11 @@ def run(work, seed: int, seconds: float, tracer=None) -> dict:
         times.append(time.perf_counter() - started)
     ref = Reference(records)
     seq = commands(path, servers)
+    # The generated records and the reference recomputation live as long
+    # as the run.  Frozen, they are no longer walked by every full
+    # collection inside cli.main, which a fresh `sentinel` process would
+    # not hold; the records the package reads are collected as usual.
+    gc.freeze()
     samples, errors, sequences = [], [], 0
     extra = {}
     if tracer is None:
@@ -220,6 +226,7 @@ def run(work, seed: int, seconds: float, tracer=None) -> dict:
             "bench.trace_overhead_ratio": sum(samples) / sum(plain),
         }
         tracer.write_spans(work / f"spans-trace_analysis-{seed}.jsonl")
+    gc.unfreeze()
     percentile, tail_value = measure.tail(samples)
     analyze_n = sum(1 for argv in seq if argv[0] == "analyze")
     per_seq = [samples[i : i + len(seq)] for i in range(0, len(samples), len(seq))]
