@@ -1,6 +1,7 @@
 """Header-gossip exchange, codec, and polling tests."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -422,6 +423,29 @@ def test_active_poll_captures_failures(chain):
     assert report.failures[0][0] == "down:1"
     assert "connection refused" in report.failures[0][1]
     assert window.tip_height() == 19
+
+
+def test_active_poll_keeps_first_leg_when_follow_up_fails(chain):
+    directory = gossip.record_protocol_server(ServerDirectory(), "flaky:1", 0.0)
+    server_window = window_of(chain[:25])
+    legs = []
+
+    def send(address, msg):
+        legs.append(msg)
+        if len(legs) > 1:
+            raise OSError("connection reset")
+        reply = gossip.server_respond(server_window, msg).reply
+        # Asking for heights the client holds forces a follow-up leg.
+        return replace(reply, requested=HeaderRange(10, 19))
+
+    report, window = gossip.active_poll(
+        directory, window_of(chain[:20]), 1, random.Random(9), send
+    )
+    assert len(legs) == 2 and legs[1].payload_range == HeaderRange(10, 19)
+    assert [address for address, _ in report.outcomes] == ["flaky:1"]
+    assert report.outcomes[0][1].headers_learned == 5
+    assert window.tip_height() == 24
+    assert report.failures == (("flaky:1", "OSError: connection reset"),)
 
 
 def test_active_poll_flags_eclipse():
