@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy
+from scipy.special import gammaincc, gammainccinv
 
 LEVEL_PROBABILITIES = (1e-2, 1e-4, 1e-6)
 
@@ -58,37 +59,22 @@ def prob_at_most_n_blocks(n: int, t_minutes: float, model: BlockTimingModel = DE
         raise ValueError("block count must be non-negative")
     if t_minutes < 0:
         raise ValueError("time must be non-negative")
-    mu = t_minutes / model.mean_block_minutes
-    term = math.exp(-mu)
-    total = term
-    for i in range(1, n + 1):
-        term *= mu / i
-        total += term
-    return min(total, 1.0)
+    return min(float(gammaincc(n + 1, t_minutes / model.mean_block_minutes)), 1.0)
 
 
 @functools.lru_cache(maxsize=4096)
 def waiting_time_quantile(k_blocks: int, probability: float, model: BlockTimingModel = DEFAULT_MODEL) -> float:
     """Minutes t where P[fewer than k_blocks blocks in t] = probability.
 
-    prob_at_most_n_blocks(k_blocks - 1, t) is monotone decreasing in t, so
-    a plain bisection converges; the returned t satisfies the defining
-    equation to better than 1e-9 relative error.
+    That is the upper quantile of an Erlang(k_blocks) waiting time: the
+    mean block interval times the inverse regularized upper incomplete
+    gamma function at `probability`.
     """
     if k_blocks < 1:
         raise ValueError("k_blocks must be positive")
     if not 0 < probability < 1:
         raise ValueError("probability must sit strictly between 0 and 1")
-    lo, hi = 0.0, model.mean_block_minutes
-    while prob_at_most_n_blocks(k_blocks - 1, hi, model) > probability:
-        hi *= 2
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if prob_at_most_n_blocks(k_blocks - 1, mid, model) > probability:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return float(model.mean_block_minutes * gammainccinv(k_blocks, probability))
 
 
 def alert_thresholds(k_blocks: int, model: BlockTimingModel = DEFAULT_MODEL) -> dict[AlertLevel, float]:

@@ -120,6 +120,17 @@ def slice_window(window: HeaderWindow, want: HeaderRange) -> list[BlockHeader]:
     return list(window.headers[lo : lo + overlap.size()])
 
 
+def headers_above(pre: HeaderWindow, post: HeaderWindow) -> list[BlockHeader]:
+    """Headers `post` holds above the tip of `pre`, oldest first.
+
+    Empty when either window is empty or the tip did not advance; this is
+    what a view change adds for the alert engine to observe.
+    """
+    if pre.is_empty() or post.is_empty() or post.tip_height() <= pre.tip_height():
+        return []
+    return slice_window(post, HeaderRange(pre.tip_height() + 1, post.tip_height()))
+
+
 def audit(window: HeaderWindow) -> None:
     """Re-validate the whole window; raises on the first broken invariant."""
     for i, header in enumerate(window.headers):

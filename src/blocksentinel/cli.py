@@ -109,13 +109,14 @@ def _split_listen(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _load_daemon(args) -> service.ClientDaemon:
+def _daemon_settings(args) -> tuple[service.ClientDaemonConfig, random.Random | None]:
+    """Daemon config with the command's sample-size override, plus its rng."""
     config = service.ClientDaemonConfig.from_file(args.config)
     override = getattr(args, "active_sample", None) or getattr(args, "sample", None)
     if override is not None:
         config = replace(config, active_sample_size=override)
     rng = random.Random(args.seed) if args.seed is not None else None
-    return service.ClientDaemon(config, rng=rng)
+    return config, rng
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -126,57 +127,48 @@ def _emit(report: dict, out: str | None) -> None:
         Path(out).write_text(text + "\n")
 
 
+def _run_until_stopped(handle, run_seconds: float | None) -> int:
+    """Keep `handle` running for `run_seconds` (forever when None) or until
+    Ctrl-C, then close it."""
+    try:
+        if run_seconds is None:
+            while True:
+                time.sleep(3600.0)
+        time.sleep(run_seconds)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        handle.close()
+    return EXIT_OK
+
+
 def _cmd_serve(args) -> int:
     host, port = _split_listen(args.listen)
     handle = service.serve(host=host, port=port, capacity=args.window)
     print(f"serving on {handle.address}", flush=True)
-    try:
-        if args.run_seconds is None:
-            while True:
-                time.sleep(3600.0)
-        time.sleep(args.run_seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.close()
-    return EXIT_OK
+    return _run_until_stopped(handle, args.run_seconds)
 
 
 def _cmd_daemon(args) -> int:
+    config, rng = _daemon_settings(args)
     if args.once:
-        daemon = _load_daemon(args)
+        daemon = service.ClientDaemon(config, rng=rng)
         report = daemon.active_check()
         daemon.tick()
-        _emit(
-            {
-                "status": daemon.status(),
-                "polled": [address for address, _ in report.outcomes],
-                "failures": list(report.failures),
-                "eclipseSuspected": report.eclipse_suspected(),
-            },
-            None,
-        )
-        return EXIT_OK
-    config = service.ClientDaemonConfig.from_file(args.config)
-    if args.active_sample is not None:
-        config = replace(config, active_sample_size=args.active_sample)
-    handle = service.run_client_daemon(config, tick_seconds=args.tick_seconds)
+        return _emit_check(daemon, report)
+    handle = service.run_client_daemon(config, tick_seconds=args.tick_seconds, rng=rng)
     print("daemon running", flush=True)
-    try:
-        if args.run_seconds is None:
-            while True:
-                time.sleep(3600.0)
-        time.sleep(args.run_seconds)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.close()
-    return EXIT_OK
+    return _run_until_stopped(handle, args.run_seconds)
 
 
 def _cmd_check(args) -> int:
-    daemon = _load_daemon(args)
-    report = daemon.active_check()
+    config, rng = _daemon_settings(args)
+    daemon = service.ClientDaemon(config, rng=rng)
+    return _emit_check(daemon, daemon.active_check())
+
+
+def _emit_check(daemon: service.ClientDaemon, report) -> int:
+    """Print the report of one active check with the daemon's status."""
     _emit(
         {
             "polled": [address for address, _ in report.outcomes],

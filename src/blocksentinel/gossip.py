@@ -5,16 +5,20 @@ wants, the server answers with a header payload plus its own wants, and
 the client's next request carries the headers the server asked for.  Both
 sides push their view through the strongest-chain comparison, so a client
 talking to one honest server learns about any stronger chain it has been
-cut off from.
+cut off from.  `exchange` drives the client side of all three legs over
+any transport; the simulator and active polls both run through it.
 
 Two encodings are provided: custom `X-Gossip-*` request/response fields
 (payload text-armored in base64 and split into chunks small enough for
-common header-size limits) and a compact binary body for clients that may
-POST freely.
+common header-size limits) and a compact binary body.  The bundled server
+and daemon speak the header fields only; the binary body is a library
+codec for clients that may POST freely and wire it into their own
+transport.
 """
 
 import base64
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 from . import chainview
@@ -144,7 +148,7 @@ def _coverage(window: HeaderWindow) -> set:
     return {(height, chainview.block_hash(header)) for height, header in window.entries()}
 
 
-def _overhang_extends_remote(matched: chainview.MatchedViews) -> bool:
+def _overhang_extends_remote(matched: MatchedViews) -> bool:
     """True when the received run continues past the comparable range.
 
     The received run is contiguous and hash-linked, so an excluded header
@@ -313,6 +317,29 @@ def client_fulfill(
         remote_invalid=remote_invalid,
     )
     return ClientExchange(follow_up, outcome, new_window)
+
+
+def exchange(
+    window: HeaderWindow, send, config: GossipConfig = DEFAULT_CONFIG
+) -> tuple[ClientExchange, Exception | None]:
+    """Run the client side of one full exchange over `send(message) -> reply`.
+
+    Returns the first reply's ClientExchange, its window advanced by a
+    payload-carrying second reply, plus the follow-up leg's exception, if
+    any: a failed push never discards what the first reply proved.
+    Exceptions from the first leg propagate.
+    """
+    first = client_fulfill(window, send(client_initiate(window, config)), config)
+    window = first.window
+    push_error = None
+    if first.follow_up is not None:
+        try:
+            second = send(first.follow_up)
+            if second is not None and second.payload is not None:
+                window = client_fulfill(window, second, config).window
+        except Exception as err:  # noqa: BLE001 - sockets fail in many shapes
+            push_error = err
+    return replace(first, window=window), push_error
 
 
 # -- wire encodings ------------------------------------------------------------
@@ -564,14 +591,12 @@ def active_poll(
     failures = []
     for address in sample:
         try:
-            reply = send(address, client_initiate(window, config))
-            exchange = client_fulfill(window, reply, config)
-            window = exchange.window
-            outcomes.append((address, exchange.outcome))
-            if exchange.follow_up is not None:
-                second = send(address, exchange.follow_up)
-                if second is not None and second.payload is not None:
-                    window = client_fulfill(window, second, config).window
+            done, error = exchange(window, functools.partial(send, address), config)
         except Exception as err:  # noqa: BLE001 - sockets fail in many shapes
-            failures.append((address, f"{type(err).__name__}: {err}"))
+            error = err
+        else:
+            window = done.window
+            outcomes.append((address, done.outcome))
+        if error is not None:
+            failures.append((address, f"{type(error).__name__}: {error}"))
     return PollReport(tuple(outcomes), tuple(failures)), window

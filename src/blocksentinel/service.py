@@ -335,14 +335,7 @@ class ClientDaemon:
             self.directory = gossip.record_protocol_server(self.directory, address, now)
             if exchange.follow_up is not None:
                 self._pending[address] = exchange.follow_up
-            self._digest_view_change(pre, exchange.outcome.headers_learned, now)
-            if exchange.outcome.eclipse_suspected:
-                self._raise_alert(
-                    now,
-                    "eclipse",
-                    f"{address} proved a stronger chain forking at height "
-                    f"{exchange.outcome.fork_height}",
-                )
+            self._digest_view_change(pre, [(address, exchange.outcome)], now)
             return exchange.outcome
 
     # -- active leg ------------------------------------------------------------
@@ -360,16 +353,7 @@ class ClientDaemon:
                 self.transport,
                 self._gossip_cfg,
             )
-            learned = sum(outcome.headers_learned for _, outcome in report.outcomes)
-            self._digest_view_change(pre, learned, now)
-            for address, outcome in report.outcomes:
-                if outcome.eclipse_suspected:
-                    self._raise_alert(
-                        now,
-                        "eclipse",
-                        f"{address} proved a stronger chain forking at height "
-                        f"{outcome.fork_height}",
-                    )
+            self._digest_view_change(pre, report.outcomes, now)
             return report
 
     # -- local feed and clock --------------------------------------------------
@@ -413,24 +397,27 @@ class ClientDaemon:
                 "alerts": len(self.alert_log),
             }
 
-    def _digest_view_change(self, pre: HeaderWindow, learned: int, now: float):
-        """Feed adopted headers to the alert engine after a view change."""
-        if learned <= 0:
-            return
-        self.last_view_update = now
-        self._standing.clear()
-        if pre.is_empty() or self.window.is_empty():
-            return
-        pre_tip = pre.tip_height()
-        post_tip = self.window.tip_height()
-        if post_tip <= pre_tip:
-            return
-        first_new = max(self.window.span().beg, pre_tip + 1)
-        for height in range(first_new, post_tip + 1):
-            header = self.window.get(height)
-            self.alert_state = alerts.observe_block(
-                self.alert_state, header.timestamp / 60.0, now / 60.0
-            )
+    def _digest_view_change(self, pre: HeaderWindow, outcomes, now: float):
+        """Feed adopted headers to the alert engine and raise eclipse alerts.
+
+        `outcomes` holds the (address, ExchangeOutcome) pairs of one ingest
+        or poll that moved the window from `pre` to its current state.
+        """
+        if sum(outcome.headers_learned for _, outcome in outcomes) > 0:
+            self.last_view_update = now
+            self._standing.clear()
+            for header in chainview.headers_above(pre, self.window):
+                self.alert_state = alerts.observe_block(
+                    self.alert_state, header.timestamp / 60.0, now / 60.0
+                )
+        for address, outcome in outcomes:
+            if outcome.eclipse_suspected:
+                self._raise_alert(
+                    now,
+                    "eclipse",
+                    f"{address} proved a stronger chain forking at height "
+                    f"{outcome.fork_height}",
+                )
 
     def _raise_alert(self, now: float, kind: str, detail: str):
         self.alert_log.append(DaemonAlert(now, kind, detail))

@@ -420,7 +420,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             push(t, _RANK_CONN, ("connect", user_index, server_index))
 
     trace_rows: list[metrics.ConnectionRecord] = []
-    headers_per_round_max = 0
 
     while queue:
         now, rank, _, payload = heapq.heappop(queue)
@@ -489,29 +488,26 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     }
                 )
                 continue
-            sx = gossip.server_respond(
-                server_windows[server_index], gossip.client_initiate(user.window, gossip_cfg), gossip_cfg
-            )
-            server_windows[server_index] = sx.window
-            pre_tip = None if user.window.is_empty() else user.window.tip_height()
-            cx = gossip.client_fulfill(user.window, sx.reply, gossip_cfg)
-            user.window = cx.window
             transferred = 0
-            if sx.reply.payload is not None:
-                transferred += len(sx.reply.payload)
-            if cx.follow_up is not None:
-                if cx.follow_up.payload is not None:
-                    transferred += len(cx.follow_up.payload)
-                sx2 = gossip.server_respond(server_windows[server_index], cx.follow_up, gossip_cfg)
-                server_windows[server_index] = sx2.window
-            headers_per_round_max = max(headers_per_round_max, transferred)
-            post_tip = None if user.window.is_empty() else user.window.tip_height()
-            extended = pre_tip is not None and post_tip is not None and post_tip > pre_tip
-            if extended:
+
+            def send(message):
+                nonlocal transferred
+                served = gossip.server_respond(server_windows[server_index], message, gossip_cfg)
+                server_windows[server_index] = served.window
+                for leg in (message, served.reply):
+                    if leg.payload is not None:
+                        transferred += len(leg.payload)
+                return served.reply
+
+            pre = user.window
+            cx, push_error = gossip.exchange(pre, send, gossip_cfg)
+            if push_error is not None:
+                raise push_error
+            user.window = cx.window
+            new_headers = chainview.headers_above(pre, user.window)
+            if new_headers:
                 # Catch the alert engine up on headers gossip brought in.
-                first_new = max(user.window.span().beg, pre_tip + 1)
-                for height in range(first_new, post_tip + 1):
-                    header = user.window.get(height)
+                for header in new_headers:
                     user.alert_state = alerts.observe_block(
                         user.alert_state, unix_to_minutes(header.timestamp), now
                     )
@@ -534,7 +530,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 and eclipse_t is not None
                 and now >= eclipse_t
                 and user.first_gossip_minutes is None
-                and (cx.outcome.eclipse_suspected or extended)
+                and (cx.outcome.eclipse_suspected or new_headers)
             ):
                 user.first_gossip_minutes = now
                 events.append(
@@ -544,7 +540,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                         "user": user.uid,
                         "server": server_names[server_index],
                         "reason": "conflict" if cx.outcome.eclipse_suspected else "extension",
-                        "evidence_height": cx.outcome.fork_height if cx.outcome.eclipse_suspected else post_tip,
+                        "evidence_height": (
+                            cx.outcome.fork_height
+                            if cx.outcome.eclipse_suspected
+                            else user.window.tip_height()
+                        ),
                     }
                 )
 
@@ -594,31 +594,14 @@ def export_trace(events, t0=None, t_max=None) -> metrics.ConnectionTrace:
     return metrics.ConnectionTrace.from_records(records, t0, t_max)
 
 
-def attack_escape_trials(
-    alpha: float,
-    trials: int,
-    seed: int = 0,
-    level: alerts.AlertLevel = alerts.AlertLevel.YELLOW,
-    n_blocks: int = 7,
-    detection_model: alerts.BlockTimingModel = alerts.DEFAULT_MODEL,
-    attacker_base_mean: float | None = None,
-) -> float:
-    """Fraction of simulated attacks that finish under the alert bar.
+def attack_escape_trials(alpha: float, trials: int, seed: int = 0) -> float:
+    """Fraction of simulated attacks that finish under the yellow alert bar.
 
-    One trial draws the attacker's block gaps and asks whether the span
-    the confirmation-window monitor would observe (boundary-inclusive
-    count, so n_blocks + 1 gaps) stays below the level's threshold.  This
-    is the timing-path twin of alerts.attacker_escape_probability.
+    The seven-block Monte-Carlo estimate of
+    alerts.attacker_escape_probability_mc on the default detection model,
+    kept under the simulator's name for timing-path callers.
     """
-    import numpy
-
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    base = detection_model.mean_block_minutes if attacker_base_mean is None else attacker_base_mean
-    attacker = alerts.AttackerModel(alpha=alpha, base_mean_minutes=base)
-    threshold = alerts.waiting_time_quantile(
-        n_blocks + 1, alerts.LEVEL_PROBABILITIES[level - 1], detection_model
+    estimate, _ = alerts.attacker_escape_probability_mc(
+        alerts.AttackerModel(alpha=alpha), alerts.AlertLevel.YELLOW, trials=trials, seed=seed
     )
-    rng = numpy.random.default_rng(seed)
-    gaps = rng.exponential(attacker.mean_block_minutes(), size=(trials, n_blocks + 1))
-    return float(numpy.count_nonzero(gaps.sum(axis=1) <= threshold)) / trials
+    return estimate

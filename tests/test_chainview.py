@@ -74,6 +74,16 @@ def test_slice_window(chain):
     assert chainview.slice_window(window, chainview.HeaderRange(30, 40)) == []
 
 
+def test_headers_above_old_tip(chain):
+    pre = window_of(chain[:10])
+    assert chainview.headers_above(pre, window_of(chain[:14])) == chain[10:14]
+    assert chainview.headers_above(pre, pre) == []
+    assert chainview.headers_above(pre, chainview.HeaderWindow()) == []
+    assert chainview.headers_above(chainview.HeaderWindow(), pre) == []
+    # Only heights the new window still holds come back.
+    assert chainview.headers_above(pre, window_of(chain[12:16], 12)) == chain[12:16]
+
+
 def test_audit_catches_tampering(chain):
     good = window_of(chain[:5])
     chainview.audit(good)

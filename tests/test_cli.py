@@ -232,6 +232,14 @@ def test_daemon_once_against_live_server(tmp_path, capsys):
     assert report["eclipseSuspected"] is False
 
 
+def test_daemon_run_seconds_exits_cleanly(tmp_path, capsys):
+    config = tmp_path / "daemon.json"
+    config.write_text(json.dumps({"servers": []}))
+    argv = ["daemon", "--config", str(config), "--run-seconds", "0.2", "--tick-seconds", "0.05"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "daemon running\n"
+
+
 def test_check_command(tmp_path, capsys):
     chain = mined_chain(8, random.Random(43))
     handle = service.serve(initial_window=window_of(chain))

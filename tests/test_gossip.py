@@ -448,6 +448,18 @@ def test_active_poll_keeps_first_leg_when_follow_up_fails(chain):
     assert report.failures == (("flaky:1", "OSError: connection reset"),)
 
 
+def test_exchange_absorbs_payload_on_second_reply(chain):
+    segment, covered = segment_of(chain[:25], 0)
+    replies = [
+        GossipMessage(advertised=HeaderRange(0, 9), requested=HeaderRange(0, 9)),
+        GossipMessage(advertised=covered, payload=segment, payload_range=covered),
+    ]
+    done, error = gossip.exchange(window_of(chain[:10]), lambda msg: replies.pop(0))
+    assert error is None and replies == []
+    assert done.window.tip_height() == 24
+    assert done.outcome.headers_learned == 0
+
+
 def test_active_poll_flags_eclipse():
     honest, victim_chain = eclipse_fixture()
     directory = gossip.record_protocol_server(ServerDirectory(), "honest:1", 0.0)
