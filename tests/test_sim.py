@@ -1,5 +1,6 @@
 """Scenario simulation tests: chains, schedules, eclipse runs, invariants."""
 
+import hashlib
 import json
 import math
 import random
@@ -117,6 +118,29 @@ def test_run_scenario_is_deterministic():
     assert a.honest_heights == b.honest_heights
     different = sim.run_scenario(ScenarioConfig(**{**BASE, "seed": 22}))
     assert sim.events_jsonl(different.events) != sim.events_jsonl(a.events)
+
+
+def test_pinned_event_log_digest():
+    # The criterion-08 scenario at seed 31 logs remote_stronger connects,
+    # eclipse suspicions and learned headers, so this digest pins the
+    # exchange result strings and the headers_learned counts byte for byte.
+    config = ScenarioConfig(
+        seed=31,
+        duration_hours=10.0,
+        n_users=10,
+        n_servers=5,
+        tier_sizes=(1, 0, 0, 0, 0, 4),
+        start_clock_hour=8.0,
+        diurnal=DiurnalProfile(busy_rate_per_hour=4.0),
+        n_eclipsed=1,
+        eclipse_start_minutes=60.0,
+        attacker_alpha=0.2,
+    )
+    result = sim.run_scenario(config)
+    connects = [e for e in result.events if e["kind"] == "connect"]
+    assert any(e["result"] == "remote_stronger" and e["eclipse_suspected"] for e in connects)
+    digest = hashlib.sha256(sim.events_jsonl(result.events).encode()).hexdigest()
+    assert digest == "c4c2f4e5209c5148a5de284e6b9d19148e1399f6128f80df0738cb64cd7eee98"
 
 
 def test_run_scenario_events_are_time_ordered():
