@@ -85,9 +85,6 @@ class HeaderWindow:
             raise KeyError(height)
         return self.headers[height - self.start_height]
 
-    def entries(self) -> list[tuple[int, BlockHeader]]:
-        return [(self.start_height + i, h) for i, h in enumerate(self.headers)]
-
 
 def append(window: HeaderWindow, header: BlockHeader, height: int) -> HeaderWindow:
     """Validate and append one header, evicting the oldest when full.
@@ -146,9 +143,13 @@ def weight(view) -> int:
 
 
 class ChainComparison(enum.Enum):
+    """Strongest-chain verdict; the client is the local side of an exchange."""
+
     TIE = "tie"
-    CLIENT_STRONGER = "client_stronger"
-    SERVER_STRONGER = "server_stronger"
+    LOCAL_STRONGER = "local_stronger"
+    REMOTE_STRONGER = "remote_stronger"
+    CLIENT_STRONGER = LOCAL_STRONGER
+    SERVER_STRONGER = REMOTE_STRONGER
 
 
 def find_strongest_chain(client_view, server_view) -> ChainComparison:

@@ -17,7 +17,6 @@ transport.
 """
 
 import base64
-import enum
 import functools
 from dataclasses import dataclass, replace
 
@@ -104,15 +103,9 @@ class GossipMessage:
             raise ValueError("payload does not cover payload_range")
 
 
-class ExchangeResult(enum.Enum):
-    TIE = "tie"
-    LOCAL_STRONGER = "local_stronger"
-    REMOTE_STRONGER = "remote_stronger"
-
-
 @dataclass(frozen=True)
 class ExchangeOutcome:
-    result: ExchangeResult
+    result: ChainComparison
     fork_height: int | None
     headers_learned: int
     eclipse_suspected: bool
@@ -139,13 +132,9 @@ def client_initiate(window: HeaderWindow, config: GossipConfig = DEFAULT_CONFIG)
 @dataclass(frozen=True)
 class AbsorbResult:
     window: HeaderWindow
-    comparison: ChainComparison | None
+    comparison: ChainComparison
     fork_height: int | None
     headers_learned: int
-
-
-def _coverage(window: HeaderWindow) -> set:
-    return {(height, chainview.block_hash(header)) for height, header in window.entries()}
 
 
 def _overhang_extends_remote(matched: MatchedViews) -> bool:
@@ -167,26 +156,35 @@ def _absorb(
     """Validate a received segment and merge it into the local window.
 
     The local view fills the client slot of the strongest-chain rule, so
-    SERVER_STRONGER means the remote run won and was adopted.  A tie over
+    REMOTE_STRONGER means the remote run won and was adopted.  A tie over
     the comparable range breaks toward the remote when the two views
     disagree and the received run keeps going past the local tip: a tied
     range plus a valid continuation is the stronger chain.  Raises
     InvalidRemote when the expanded run fails validation.
+
+    Learned headers are counted from the merge without hashing: below the
+    local tip plus one, or the fork when the remote run was adopted, the
+    merge keeps the local prefix, and every merged header from there on
+    links to a parent the local view lacks, so none equals a local header.
     """
     received = expand(segment)
     matched = chainview.match_views(window, received, start)
+    fork = matched.fork_height()
     comparison = chainview.find_strongest_chain(matched.local, matched.remote)
     if (
         comparison is ChainComparison.TIE
-        and matched.fork_height() is not None
+        and fork is not None
         and _overhang_extends_remote(matched)
     ):
-        comparison = ChainComparison.SERVER_STRONGER
-    merged = chainview.merge_strongest(
-        window, matched, adopt_remote=comparison is ChainComparison.SERVER_STRONGER
-    )
-    learned = len(_coverage(merged) - _coverage(window))
-    return AbsorbResult(merged, comparison, matched.fork_height(), learned)
+        comparison = ChainComparison.REMOTE_STRONGER
+    adopted = comparison is ChainComparison.REMOTE_STRONGER
+    merged = chainview.merge_strongest(window, matched, adopt_remote=adopted)
+    if window.is_empty():
+        learned = len(merged)
+    else:
+        first = fork if adopted else window.tip_height() + 1
+        learned = max(0, merged.tip_height() - max(first, merged.start_height) + 1)
+    return AbsorbResult(merged, comparison, fork, learned)
 
 
 def _armored_size(raw_bytes: int) -> int:
@@ -280,7 +278,7 @@ def client_fulfill(
     been feeding this client a weaker chain.
     """
     new_window = window
-    result = ExchangeResult.TIE
+    result = ChainComparison.TIE
     fork_height = None
     learned = 0
     remote_invalid = False
@@ -290,14 +288,11 @@ def client_fulfill(
             new_window = absorbed.window
             learned = absorbed.headers_learned
             fork_height = absorbed.fork_height
-            if absorbed.comparison is ChainComparison.SERVER_STRONGER:
-                result = ExchangeResult.REMOTE_STRONGER
-            elif absorbed.comparison is ChainComparison.CLIENT_STRONGER:
-                result = ExchangeResult.LOCAL_STRONGER
+            result = absorbed.comparison
         except InvalidRemote:
             remote_invalid = True
     eclipse_suspected = (
-        result is ExchangeResult.REMOTE_STRONGER and fork_height is not None
+        result is ChainComparison.REMOTE_STRONGER and fork_height is not None
     )
     follow_up = None
     if reply.requested is not None:

@@ -16,7 +16,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from scipy import stats as _scipy_stats
+from scipy.special import stdtrit
 
 from .errors import EmptyTrace, InsufficientTier, UnknownServer, UnknownUser
 
@@ -190,7 +190,7 @@ def freshness_ci(
     ]
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    t_crit = float(_scipy_stats.t.ppf(0.975, len(values) - 1))
+    t_crit = float(stdtrit(len(values) - 1, 0.975))
     half_width = t_crit * math.sqrt(variance / len(values))
     return mean, half_width
 

@@ -27,11 +27,10 @@ STATUS_VERSION = "v1"
 
 
 class ServerState:
-    """One shared strongest-view window behind optimistic concurrency.
+    """One shared strongest-view window behind one lock.
 
-    Exchanges compute against a snapshot outside the lock and commit only
-    if the window is unchanged, retrying otherwise; handlers never hold
-    the lock across an exchange.
+    Each exchange computes its reply and commits the new window under the
+    lock, so concurrent exchanges run one at a time and none is redone.
     """
 
     def __init__(self, window: HeaderWindow | None = None, clock=time.time):
@@ -51,21 +50,16 @@ class ServerState:
         self, msg: gossip.GossipMessage, config: gossip.GossipConfig = gossip.DEFAULT_CONFIG
     ) -> gossip.GossipMessage:
         """Serve one client message, atomically folding its payload in."""
-        while True:
-            with self._lock:
-                base = self._window
-            result = gossip.server_respond(base, msg, config)
-            with self._lock:
-                if self._window is not base:
-                    continue
-                self._window = result.window
-                self._exchanges += 1
-                self._accepted += result.headers_accepted
-                if result.payload_rejected and msg.payload is not None:
-                    self._rejected += len(msg.payload)
-                if result.headers_accepted:
-                    self._last_update = self._clock()
-                return result.reply
+        with self._lock:
+            result = gossip.server_respond(self._window, msg, config)
+            self._window = result.window
+            self._exchanges += 1
+            self._accepted += result.headers_accepted
+            if result.payload_rejected and msg.payload is not None:
+                self._rejected += len(msg.payload)
+            if result.headers_accepted:
+                self._last_update = self._clock()
+        return result.reply
 
     def status(self) -> dict:
         """JSON-ready snapshot for the status endpoint."""

@@ -53,7 +53,6 @@ def test_window_accessors(chain):
     assert window.get(102) == chain[2]
     with pytest.raises(KeyError):
         window.get(99)
-    assert window.entries()[0] == (100, chain[0])
     empty = chainview.HeaderWindow()
     assert empty.is_empty() and empty.span() is None
     with pytest.raises(ValueError):

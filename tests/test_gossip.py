@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from blocksentinel import chainview, gossip
 from blocksentinel.errors import MalformedBody, MalformedFields, TooLarge
 from blocksentinel.gossip import (
-    ExchangeResult,
     GossipConfig,
     GossipMessage,
     REQUEST_ALL,
     ServerDirectory,
 )
-from blocksentinel.chainview import HeaderRange
-from blocksentinel.headers import compress, expand
-from support import eclipse_fixture, linked_headers, mined_chain, window_of
+from blocksentinel.chainview import ChainComparison, HeaderRange
+from blocksentinel.headers import block_hash, compress, expand
+from support import eclipse_fixture, linked_headers, mine_suffix, mined_chain, window_of
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +108,7 @@ def test_lagging_client_converges_over_repeated_exchanges(chain):
     for _ in range(3):
         client, server, outcome = exchange(client, server)
         tips.append(client.tip_height())
-        assert outcome.result is ExchangeResult.TIE
+        assert outcome.result is ChainComparison.TIE
         assert outcome.fork_height is None
         assert not outcome.eclipse_suspected
     assert tips == [32, 45, 49]
@@ -121,13 +120,13 @@ def test_exchange_feeds_lagging_server(chain):
     assert server.tip_height() == 49
     assert server.tip() == chain[49]
     assert client.tip_height() == 49
-    assert outcome.result is ExchangeResult.TIE
+    assert outcome.result is ChainComparison.TIE
     assert not outcome.eclipse_suspected
 
 
 def test_exchange_equal_views_tie(chain):
     client, server, outcome = exchange(window_of(chain[:30]), window_of(chain[:30]))
-    assert outcome.result is ExchangeResult.TIE
+    assert outcome.result is ChainComparison.TIE
     assert outcome.headers_learned == 0
     assert not outcome.eclipse_suspected
 
@@ -135,7 +134,7 @@ def test_exchange_equal_views_tie(chain):
 def test_eclipsed_client_detects_conflicting_continuation():
     honest, victim_chain = eclipse_fixture()
     client, server, outcome = exchange(window_of(victim_chain), window_of(honest))
-    assert outcome.result is ExchangeResult.REMOTE_STRONGER
+    assert outcome.result is ChainComparison.REMOTE_STRONGER
     assert outcome.eclipse_suspected
     assert outcome.fork_height == 20
     assert outcome.headers_learned == 10
@@ -150,7 +149,7 @@ def test_shorter_honest_view_cannot_displace_longer_run():
     honest, victim_chain = eclipse_fixture()
     server = window_of(honest[:22])
     client, server_after, outcome = exchange(window_of(victim_chain), server)
-    assert outcome.result is ExchangeResult.TIE
+    assert outcome.result is ChainComparison.TIE
     assert not outcome.eclipse_suspected
     assert client.tip() == victim_chain[-1]
     assert server_after == server
@@ -162,7 +161,7 @@ def test_repeat_exchange_is_idempotent():
     client2, server2, outcome2 = exchange(client, server)
     assert client2 == client
     assert server2 == server
-    assert outcome2.result is ExchangeResult.TIE
+    assert outcome2.result is ChainComparison.TIE
     assert not outcome2.eclipse_suspected
 
 
@@ -206,6 +205,103 @@ def test_transfer_bound_is_one_window_per_leg(chain):
         assert fulfilled.follow_up.payload_range.size() <= capacity
         total += fulfilled.follow_up.payload_range.size()
     assert total <= 2 * capacity
+
+
+# -- learned-header counts -------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def branches():
+    """Chains indexed by height: honest, an equal-work fork and a stronger fork.
+
+    Both forks leave the honest chain at height 20.
+    """
+    honest = mined_chain(40, random.Random(811))
+    equal = mine_suffix(honest[19], 12, random.Random(812))
+    strong = mine_suffix(honest[19], 6, random.Random(813), n_bits=0x203FFFFF)
+    return {
+        "honest": honest,
+        "equal": honest[:20] + equal,
+        "strong": honest[:20] + strong,
+    }
+
+
+def whole_window_learned(before, after):
+    """Reference count: (height, hash) pairs of `after` missing from `before`."""
+
+    def coverage(window):
+        return {(window.start_height + i, block_hash(h)) for i, h in enumerate(window.headers)}
+
+    return len(coverage(after) - coverage(before))
+
+
+def absorb_both_ways(window, headers, start):
+    """Offer one run to the server and the client side; both must agree."""
+    payload, payload_range = segment_of(headers, start)
+    msg = GossipMessage(payload=payload, payload_range=payload_range)
+    served = gossip.server_respond(window, msg)
+    fulfilled = gossip.client_fulfill(window, msg)
+    assert not served.payload_rejected and not fulfilled.outcome.remote_invalid
+    assert served.window == fulfilled.window
+    expected = whole_window_learned(window, served.window)
+    assert served.headers_accepted == expected
+    assert fulfilled.outcome.headers_learned == expected
+    return served, fulfilled.outcome
+
+
+@pytest.mark.parametrize(
+    "local, window_range, capacity, anchor, remote, run_range, result, learned, span",
+    [
+        # Empty window, and one anchored above the received start.
+        (None, None, 128, 0, "honest", (0, 9), "tie", 10, (0, 9)),
+        (None, None, 128, 30, "honest", (5, 14), "tie", 10, (5, 14)),
+        ("honest", (0, 29), 128, 0, "honest", (10, 29), "tie", 0, (0, 29)),
+        # Overhang extension past the local tip.
+        ("honest", (0, 29), 128, 0, "honest", (20, 39), "tie", 10, (0, 39)),
+        # Adopted fork: the prefix below height 20 is kept.
+        ("equal", (0, 31), 128, 0, "honest", (15, 39), "remote_stronger", 20, (0, 39)),
+        # The first remote header does not link to the kept prefix: re-anchor.
+        ("equal", (0, 31), 128, 0, "honest", (22, 39), "remote_stronger", 18, (22, 39)),
+        # A stronger but shorter run replaces the longer local suffix.
+        ("honest", (0, 39), 128, 0, "strong", (15, 25), "remote_stronger", 6, (0, 25)),
+        # Eviction past capacity.
+        ("honest", (0, 15), 16, 0, "honest", (10, 29), "tie", 14, (14, 29)),
+        ("strong", (0, 25), 128, 0, "honest", (15, 39), "local_stronger", 0, (0, 25)),
+    ],
+)
+def test_headers_learned_matches_whole_window_count(
+    branches, local, window_range, capacity, anchor, remote, run_range, result, learned, span
+):
+    if local is None:
+        window = chainview.HeaderWindow(capacity=capacity, start_height=anchor)
+    else:
+        lo, hi = window_range
+        window = window_of(branches[local][lo : hi + 1], start_height=lo, capacity=capacity)
+    lo, hi = run_range
+    served, outcome = absorb_both_ways(window, branches[remote][lo : hi + 1], lo)
+    assert outcome.result is ChainComparison(result)
+    assert served.comparison is outcome.result
+    assert outcome.headers_learned == learned
+    assert served.window.span() == HeaderRange(*span)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    local=st.sampled_from(["empty", "honest", "equal", "strong"]),
+    remote=st.sampled_from(["honest", "equal", "strong"]),
+    capacity=st.integers(4, 48),
+    bounds=st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(0, 39), st.integers(0, 39)),
+)
+def test_headers_learned_equivalence_fuzz(branches, local, remote, capacity, bounds):
+    remote_chain = branches[remote]
+    if local == "empty":
+        window = chainview.HeaderWindow(capacity=capacity, start_height=bounds[0])
+    else:
+        local_chain = branches[local]
+        lo, hi = sorted(min(b, len(local_chain) - 1) for b in bounds[:2])
+        window = window_of(local_chain[lo : hi + 1], start_height=lo, capacity=capacity)
+    lo, hi = sorted(min(b, len(remote_chain) - 1) for b in bounds[2:])
+    absorb_both_ways(window, remote_chain[lo : hi + 1], lo)
 
 
 # -- armored header fields -------------------------------------------------------

@@ -1,13 +1,18 @@
 """Connection-trace analytics tests: data-age averages, freshness, tiers."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blocksentinel
 from blocksentinel import metrics
 from blocksentinel.errors import EmptyTrace, InsufficientTier, UnknownServer, UnknownUser
 from blocksentinel.metrics import ConnectionRecord, ConnectionTrace
@@ -170,6 +175,17 @@ def test_freshness_ci_partial_adoption():
         metrics.freshness_ci(trace, "s0", adoption_fraction=1.5)
     with pytest.raises(ValueError):
         metrics.freshness_ci(trace, "s0", adoption_fraction=0.5, n_resamples=1)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles a cold import's time and memory; the
+    # package needs only scipy.special.
+    env = {**os.environ, "PYTHONPATH": str(Path(blocksentinel.__file__).parents[1])}
+    probe = "import sys, blocksentinel; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 import threading
 import time
 import urllib.request
@@ -87,6 +88,53 @@ def test_server_state_concurrent_exchanges_converge(chain):
         t.join()
     assert state.window().tip() == strong[-1]
     chainview.audit(state.window())
+
+
+def test_server_state_responds_once_per_exchange_under_contention(chain, monkeypatch):
+    # With a tiny switch interval eight racing threads interleave inside
+    # nearly every exchange; each must still run server_respond exactly
+    # once, where an optimistic retry would show up as surplus calls.
+    base = chain[:20]
+    strong = mine_suffix(base[-1], 5, random.Random(905), n_bits=0x203FFFFF)
+    weak = mine_suffix(base[-1], 3, random.Random(906))
+    calls = []
+    respond = gossip.server_respond
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return respond(*args, **kwargs)
+
+    monkeypatch.setattr(gossip, "server_respond", counted)
+
+    def message(suffix):
+        span = HeaderRange(19, 19 + len(suffix))
+        return GossipMessage(HeaderRange(0, span.end), None, compress([base[-1], *suffix]), span)
+
+    def push(state, msg):
+        for _ in range(10):
+            state.exchange(msg)
+
+    messages = [message(strong), message(weak)] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            state = service.ServerState(window_of(base))
+            threads = [
+                threading.Thread(target=push, args=(state, msg), daemon=True)
+                for msg in messages
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert state.status()["stats"]["exchanges"] == len(messages) * 10
+            assert len(calls) == len(messages) * 10
+            assert state.window().tip() == strong[-1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- HTTP plumbing ---------------------------------------------------------------
