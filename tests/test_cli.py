@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import hashlib
 import json
 import random
 import threading
@@ -254,3 +255,29 @@ def test_check_command(tmp_path, capsys):
     report = json.loads(out)
     assert report["eclipseSuspected"] is False
     assert report["polled"] == [handle.address]
+
+
+def test_analyze_outputs_are_pinned(tmp_path, capsys):
+    # Every analyze metric over a small seeded trace with fractional
+    # times, so any change in summation order shows in the digest.
+    rng = random.Random(1207)
+    rows = sorted(
+        (rng.randrange(0, 3 * 86_400 * 20) / 20, f"u{rng.randrange(120)}", f"s{rng.randrange(7)}")
+        for _ in range(900)
+    )
+    path = tmp_path / "trace.csv"
+    path.write_text("time,user,server\n" + "".join(f"{t},{u},{s}\n" for t, u, s in rows))
+    trace = ["analyze", "--trace", str(path), "--metric"]
+    runs = [
+        ["coverage", "--servers", "s0,ghost"],
+        ["aadt", "--servers", "s0,s1"],
+        ["aadt", "--servers", "s2,s5", "--user", "u7"],
+        ["freshness", "--server", "s4"],
+        ["freshness-ci", "--server", "s1", "--adoption", "0.5", "--seed", "3"],
+        ["tiers"],
+    ]
+    digest = hashlib.sha256()
+    for argv in runs:
+        assert cli.main(trace + argv) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "bdf9f8a1c1ce8a32f9a3efb9e37d2d17a590e06d408237efb74bcffd00afe8b4"

@@ -231,3 +231,96 @@ def test_stratified_sample():
     assert len(picked & {f"s{i}" for i in range(3, 10)}) == 3
     with pytest.raises(InsufficientTier):
         metrics.stratified_sample(tiers, [4], rng)
+
+
+# -- equivalence with a row scan ---------------------------------------------------
+
+
+def _row_scan_gaps(times, t0, t_max):
+    points = [t0] + [t for t in times if t0 <= t <= t_max] + [t_max]
+    return [b - a for a, b in zip(points, points[1:])]
+
+
+def _row_scan_sawtooth_hours(gaps, cut_seconds=None):
+    if cut_seconds is not None:
+        gaps = [g for g in gaps if g < cut_seconds]
+    duration = sum(gaps)
+    if duration <= 0:
+        return math.nan
+    return sum(g * g for g in gaps) / 2.0 / duration / 3600.0
+
+
+class RowScan:
+    """The metrics recomputed by scanning every record, as a reference."""
+
+    def __init__(self, rows, t0, t_max):
+        self.records = sorted(rows)
+        self.t0 = self.records[0][0] if t0 is None else t0
+        self.t_max = self.records[-1][0] if t_max is None else t_max
+
+    def users(self):
+        return sorted({u for _, u, _ in self.records})
+
+    def servers(self):
+        return sorted({s for _, _, s in self.records})
+
+    def coverage(self, server_set):
+        touched = {u for _, u, s in self.records if s in server_set}
+        return len(touched) / len(self.users())
+
+    def aadt(self, user, server_set, cut_hours):
+        times = [t for t, u, s in self.records if u == user and s in server_set]
+        cut = None if cut_hours is None else cut_hours * 3600.0
+        return _row_scan_sawtooth_hours(_row_scan_gaps(times, self.t0, self.t_max), cut)
+
+    def freshness(self, server, user_set):
+        times = [
+            t for t, u, s in self.records if s == server and (user_set is None or u in user_set)
+        ]
+        return _row_scan_sawtooth_hours(_row_scan_gaps(times, self.t0, self.t_max))
+
+    def unique_user_counts(self):
+        return {s: len({u for _, u, s2 in self.records if s2 == s}) for s in self.servers()}
+
+
+def _same(got, want):
+    return type(got) is type(want) and (got == want or (math.isnan(got) and math.isnan(want)))
+
+
+_times = st.one_of(
+    st.integers(0, 200_000),
+    st.floats(0, 200_000, allow_nan=False).map(lambda t: round(t, 3)),
+)
+_rows = st.lists(
+    st.tuples(_times, st.sampled_from(["u0", "u1", "u10", "u2", "U9"]),
+              st.sampled_from(["s0", "s1", "s10", "s2", "S9"])),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_rows, window=st.data())
+def test_metrics_equal_a_row_scan(rows, window):
+    ts = sorted(t for t, _, _ in rows)
+    t0 = window.draw(st.one_of(st.none(), st.sampled_from(ts)), label="t0")
+    low = ts[0] if t0 is None else t0
+    t_max = window.draw(
+        st.one_of(st.none(), st.sampled_from([t for t in ts if t >= low])), label="t_max"
+    )
+    trace = trace_of(rows, t0=t0, t_max=t_max)
+    ref = RowScan(rows, t0, t_max)
+    assert [(r.time, r.user, r.server) for r in trace.records] == ref.records
+    assert trace.users() == ref.users() and trace.servers() == ref.servers()
+    assert metrics.unique_user_counts(trace) == ref.unique_user_counts()
+    everyone = ref.users()
+    for server_set in ({"s0"}, {"s1", "s10", "ghost"}, set(ref.servers()), {"ghost"}):
+        assert _same(metrics.coverage(trace, server_set), ref.coverage(server_set))
+        for user in everyone:
+            for cut in (None, 8.0, 0.01):
+                got = metrics.aadt(trace, user, server_set, inactivity_cut_hours=cut)
+                assert _same(got, ref.aadt(user, server_set, cut)), (user, server_set, cut)
+    for server in ref.servers():
+        for user_set in (None, set(everyone[:2]), {everyone[-1], "ghost"}):
+            got = metrics.freshness(trace, server, user_set)
+            assert _same(got, ref.freshness(server, user_set)), (server, user_set)
