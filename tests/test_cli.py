@@ -207,6 +207,14 @@ def test_analyze_missing_trace(tmp_path):
     assert cli.main(["analyze", "--trace", str(missing), "--metric", "tiers"]) == 2
 
 
+@pytest.mark.parametrize("row", ["abc,u1,s1", "20,u1", "20,u1,s1,extra", ""])
+def test_analyze_malformed_row_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"time,user,server\n10,u0,s0\n{row}\n30,u2,s1\n")
+    assert cli.main(["analyze", "--trace", str(path), "--metric", "tiers"]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_serve_run_seconds_exits_cleanly():
     assert cli.main(["serve", "--run-seconds", "0.2", "--listen", "127.0.0.1:0"]) == 0
 
