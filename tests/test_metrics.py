@@ -289,6 +289,7 @@ def _same(got, want):
 
 _times = st.one_of(
     st.integers(0, 200_000),
+    st.integers(0, 12).map(lambda k: 225 * k),  # gaps of exactly the 0.0625 h cut
     st.floats(0, 200_000, allow_nan=False).map(lambda t: round(t, 3)),
 )
 _rows = st.lists(
@@ -317,7 +318,7 @@ def test_metrics_equal_a_row_scan(rows, window):
     for server_set in ({"s0"}, {"s1", "s10", "ghost"}, set(ref.servers()), {"ghost"}):
         assert _same(metrics.coverage(trace, server_set), ref.coverage(server_set))
         for user in everyone:
-            for cut in (None, 8.0, 0.01):
+            for cut in (None, 8.0, 0.0625, 0.01):
                 got = metrics.aadt(trace, user, server_set, inactivity_cut_hours=cut)
                 assert _same(got, ref.aadt(user, server_set, cut)), (user, server_set, cut)
     for server in ref.servers():
