@@ -203,6 +203,7 @@ def test_http_send_rejects_gossip_less_peer():
             service.http_send(address, GossipMessage(None, REQUEST_ALL, None, None))
     finally:
         httpd.shutdown()
+        httpd.server_close()
         thread.join()
 
 
