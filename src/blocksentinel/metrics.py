@@ -2,6 +2,10 @@
 
 A trace is a list of (time, user, server) connection records over an
 observation window [t0, t_max].  Times are seconds.  Results are hours.
+It is held as columns: float64 times sorted by (time, user, server), and
+integer user and server codes that index the sorted user and server names.
+The rows of each user and of each server are grouped on first use, so a
+metric reads only its own slice instead of scanning every record.
 
 For one user and a server set S, the detection delay at time t is the wait
 until that user's next S-connection (an attack starting at t goes unnoticed
@@ -15,7 +19,10 @@ contact, growing from t0 before the first connection.
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
+import numpy as np
 from scipy.special import stdtrit
 
 from .errors import EmptyTrace, InsufficientTier, UnknownServer, UnknownUser
@@ -31,18 +38,45 @@ TIER_BOUNDS = (
 TIER_FIVE_EXACT = 100
 
 
-@dataclass(frozen=True)
-class ConnectionRecord:
+class ConnectionRecord(NamedTuple):
     time: float
     user: str
     server: str
 
 
-@dataclass(frozen=True)
-class ConnectionTrace:
-    """Time-sorted connection records plus the observation window."""
+def _encode(names) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct names, sorted, and each name's index among them."""
+    index = {name: code for code, name in enumerate(sorted(set(names)))}
+    return tuple(index), np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
-    records: tuple[ConnectionRecord, ...]
+
+def _group_rows(codes, names) -> dict[str, np.ndarray]:
+    """Each name's row indices, in row order."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(len(names) + 1)).tolist()
+    return {name: order[lo:hi] for name, lo, hi in zip(names, bounds, bounds[1:])}
+
+
+def _mask(names, wanted) -> np.ndarray:
+    """Which of `names` are in `wanted`, indexed by code."""
+    wanted = set(wanted)
+    return np.fromiter((name in wanted for name in names), bool, len(names))
+
+
+@dataclass(frozen=True, eq=False)
+class ConnectionTrace:
+    """Connection columns plus the observation window.
+
+    Row i is a connection at times[i] from user_names[user_codes[i]] to
+    server_names[server_codes[i]].  Rows are sorted by (time, user, server)
+    and both name tuples are sorted, so code order is name order.
+    """
+
+    times: np.ndarray
+    user_codes: np.ndarray
+    server_codes: np.ndarray
+    user_names: tuple[str, ...]
+    server_names: tuple[str, ...]
     t0: float
     t_max: float
 
@@ -52,19 +86,42 @@ class ConnectionTrace:
 
     @classmethod
     def from_records(cls, records, t0=None, t_max=None) -> "ConnectionTrace":
-        """Sort records; the window defaults to their observed extent."""
-        ordered = tuple(sorted(records, key=lambda r: (r.time, r.user, r.server)))
-        if t0 is None:
-            t0 = ordered[0].time if ordered else 0.0
-        if t_max is None:
-            t_max = ordered[-1].time if ordered else 0.0
-        return cls(ordered, t0, t_max)
+        """Sort (time, user, server) rows; the window defaults to their extent."""
+        times, users, servers = zip(*records) if records else ((), (), ())
+        return cls.from_columns(times, users, servers, t0, t_max)
+
+    @classmethod
+    def from_columns(cls, times, users, servers, t0=None, t_max=None) -> "ConnectionTrace":
+        """Code and sort the rows; the window defaults to their observed extent."""
+        user_names, user_codes = _encode(users)
+        server_names, server_codes = _encode(servers)
+        times = np.array(times, dtype=np.float64)
+        order = np.lexsort((server_codes, user_codes, times))
+        times = times[order]
+        first, last = (float(times[0]), float(times[-1])) if times.size else (0.0, 0.0)
+        return cls(times, user_codes[order], server_codes[order], user_names, server_names,
+                   first if t0 is None else t0, last if t_max is None else t_max)
+
+    @cached_property
+    def records(self) -> tuple[ConnectionRecord, ...]:
+        """The rows as records, built on first use."""
+        users = [self.user_names[u] for u in self.user_codes.tolist()]
+        servers = [self.server_names[s] for s in self.server_codes.tolist()]
+        return tuple(map(ConnectionRecord, self.times.tolist(), users, servers))
+
+    @cached_property
+    def rows_by_user(self) -> dict[str, np.ndarray]:
+        return _group_rows(self.user_codes, self.user_names)
+
+    @cached_property
+    def rows_by_server(self) -> dict[str, np.ndarray]:
+        return _group_rows(self.server_codes, self.server_names)
 
     def users(self) -> list[str]:
-        return sorted({r.user for r in self.records})
+        return list(self.user_names)
 
     def servers(self) -> list[str]:
-        return sorted({r.server for r in self.records})
+        return list(self.server_names)
 
 
 def write_trace_csv(trace: ConnectionTrace, path) -> None:
@@ -77,47 +134,50 @@ def write_trace_csv(trace: ConnectionTrace, path) -> None:
 
 
 def read_trace_csv(path, t0=None, t_max=None) -> ConnectionTrace:
+    """Read `time,user,server` rows; a malformed row raises EmptyTrace."""
+    times, users, servers = [], [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["time", "user", "server"]:
-            raise EmptyTrace(f"not a trace file: header {header!r}")
-        records = [ConnectionRecord(float(row[0]), row[1], row[2]) for row in reader]
-    if not records:
+        try:
+            header = next(reader, None)
+            if header != ["time", "user", "server"]:
+                raise EmptyTrace(f"not a trace file: header {header!r}")
+            for time, user, server in reader:
+                times.append(float(time))
+                users.append(user)
+                servers.append(server)
+        except (ValueError, csv.Error) as err:
+            raise EmptyTrace(f"trace line {reader.line_num}: {err}") from None
+    if not times:
         raise EmptyTrace("trace has no records")
-    return ConnectionTrace.from_records(records, t0, t_max)
+    return ConnectionTrace.from_columns(times, users, servers, t0, t_max)
 
 
 def coverage(trace: ConnectionTrace, server_set) -> float:
     """Fraction of users with at least one connection into `server_set`."""
-    if not trace.records:
+    if not trace.times.size:
         raise EmptyTrace("coverage needs at least one record")
-    server_set = set(server_set)
-    users = {r.user for r in trace.records}
-    touched = {r.user for r in trace.records if r.server in server_set}
-    return len(touched) / len(users)
+    into_set = _mask(trace.server_names, server_set)[trace.server_codes]
+    return len(np.unique(trace.user_codes[into_set])) / len(trace.user_names)
 
 
-def _gap_lengths(times, t0, t_max) -> list[float]:
-    """Lengths of the intervals cut by the connections and both window ends."""
-    points = [t0] + [t for t in times if t0 <= t <= t_max] + [t_max]
-    return [b - a for a, b in zip(points, points[1:])]
-
-
-def _sawtooth_average(gaps, cut_seconds=None) -> float:
-    """Mean of a process that ramps linearly across each gap.
+def _sawtooth_hours(trace: ConnectionTrace, times, cut_seconds=None) -> float:
+    """Mean, in hours, of a process that ramps linearly across the gaps cut
+    by the sorted `times` inside the window and by both window ends.
 
     Every gap g contributes g^2/2 to the integral.  Gaps of cut_seconds or
     more count as planned inactivity: they are excised from the integral
     and from the normalizing duration alike.  Returns NaN when everything
-    was excised.
+    was excised.  Both sums run left to right, as over a list of rows.
     """
+    inside = times[(times >= trace.t0) & (times <= trace.t_max)]
+    gaps = np.diff(np.concatenate(([trace.t0], inside, [trace.t_max])))
     if cut_seconds is not None:
-        gaps = [g for g in gaps if g < cut_seconds]
-    duration = sum(gaps)
+        gaps = gaps[gaps < cut_seconds]
+    duration = sum(gaps.tolist())
     if duration <= 0:
         return math.nan
-    return sum(g * g for g in gaps) / 2.0 / duration
+    return sum((gaps * gaps).tolist()) / 2.0 / duration / 3600.0
 
 
 def aadt(
@@ -131,12 +191,12 @@ def aadt(
     Pass inactivity_cut_hours=None to keep long idle gaps in the average
     instead of treating them as planned downtime.
     """
-    if user not in {r.user for r in trace.records}:
+    rows = trace.rows_by_user.get(user)
+    if rows is None:
         raise UnknownUser(user)
-    times = sorted(r.time for r in trace.records if r.user == user and r.server in set(server_set))
-    gaps = _gap_lengths(times, trace.t0, trace.t_max)
+    rows = rows[_mask(trace.server_names, server_set)[trace.server_codes[rows]]]
     cut = None if inactivity_cut_hours is None else inactivity_cut_hours * 3600.0
-    return _sawtooth_average(gaps, cut) / 3600.0
+    return _sawtooth_hours(trace, trace.times[rows], cut)
 
 
 def freshness(trace: ConnectionTrace, server: str, user_set=None) -> float:
@@ -146,16 +206,12 @@ def freshness(trace: ConnectionTrace, server: str, user_set=None) -> float:
     symmetry of the two sawtooths this shares the gap closed form with
     aadt; no inactivity excision applies here.
     """
-    if server not in {r.server for r in trace.records}:
+    rows = trace.rows_by_server.get(server)
+    if rows is None:
         raise UnknownServer(server)
-    users = None if user_set is None else set(user_set)
-    times = sorted(
-        r.time
-        for r in trace.records
-        if r.server == server and (users is None or r.user in users)
-    )
-    gaps = _gap_lengths(times, trace.t0, trace.t_max)
-    return _sawtooth_average(gaps) / 3600.0
+    if user_set is not None:
+        rows = rows[_mask(trace.user_names, user_set)[trace.user_codes[rows]]]
+    return _sawtooth_hours(trace, trace.times[rows])
 
 
 def freshness_ci(
@@ -196,10 +252,10 @@ def freshness_ci(
 
 
 def unique_user_counts(trace: ConnectionTrace) -> dict[str, int]:
-    counts: dict[str, set] = {}
-    for record in trace.records:
-        counts.setdefault(record.server, set()).add(record.user)
-    return {server: len(users) for server, users in sorted(counts.items())}
+    return {
+        server: len(np.unique(trace.user_codes[rows]))
+        for server, rows in trace.rows_by_server.items()
+    }
 
 
 def tier_of(user_count: int) -> int:
@@ -221,7 +277,7 @@ def tier_of(user_count: int) -> int:
 
 def assign_tiers(trace: ConnectionTrace) -> dict[str, int]:
     """Tier per server, from its unique-user count in the trace."""
-    if not trace.records:
+    if not trace.times.size:
         raise EmptyTrace("cannot tier an empty trace")
     return {server: tier_of(count) for server, count in unique_user_counts(trace).items()}
 
