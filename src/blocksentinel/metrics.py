@@ -70,6 +70,8 @@ class ConnectionTrace:
     Row i is a connection at times[i] from user_names[user_codes[i]] to
     server_names[server_codes[i]].  Rows are sorted by (time, user, server)
     and both name tuples are sorted, so code order is name order.
+    rows_by_user and rows_by_server map each name to its row indices in
+    time order; they and `records` are built on first use.
     """
 
     times: np.ndarray
