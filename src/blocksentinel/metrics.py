@@ -152,6 +152,10 @@ def read_trace_csv(path, t0=None, t_max=None) -> ConnectionTrace:
             raise EmptyTrace(f"trace line {reader.line_num}: {err}") from None
     if not times:
         raise EmptyTrace("trace has no records")
+    times = np.array(times)
+    nonfinite = np.flatnonzero(~np.isfinite(times))
+    if nonfinite.size:
+        raise EmptyTrace(f"trace line {nonfinite[0] + 2}: time is not finite")
     return ConnectionTrace.from_columns(times, users, servers, t0, t_max)
 
 

@@ -207,7 +207,9 @@ def test_analyze_missing_trace(tmp_path):
     assert cli.main(["analyze", "--trace", str(missing), "--metric", "tiers"]) == 2
 
 
-@pytest.mark.parametrize("row", ["abc,u1,s1", "20,u1", "20,u1,s1,extra", ""])
+@pytest.mark.parametrize(
+    "row", ["abc,u1,s1", "20,u1", "20,u1,s1,extra", "", "nan,u1,s1", "-inf,u1,s1"]
+)
 def test_analyze_malformed_row_exits_2(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"time,user,server\n10,u0,s0\n{row}\n30,u2,s1\n")
