@@ -120,27 +120,58 @@ def test_run_scenario_is_deterministic():
     assert sim.events_jsonl(different.events) != sim.events_jsonl(a.events)
 
 
-def test_pinned_event_log_digest():
-    # The criterion-08 scenario at seed 31 logs remote_stronger connects,
-    # eclipse suspicions and learned headers, so this digest pins the
-    # exchange result strings and the headers_learned counts byte for byte.
-    config = ScenarioConfig(
-        seed=31,
-        duration_hours=10.0,
-        n_users=10,
-        n_servers=5,
-        tier_sizes=(1, 0, 0, 0, 0, 4),
-        start_clock_hour=8.0,
-        diurnal=DiurnalProfile(busy_rate_per_hour=4.0),
-        n_eclipsed=1,
-        eclipse_start_minutes=60.0,
-        attacker_alpha=0.2,
+def _suspected_stronger_connect(events):
+    return any(
+        e["kind"] == "connect" and e["result"] == "remote_stronger" and e["eclipse_suspected"]
+        for e in events
     )
+
+
+def _type2_alerts_at_every_level(events):
+    levels = {e["level"] for e in events if e["kind"] == "alert" and e["alert"] == "type2"}
+    return levels == {"yellow", "orange", "red"}
+
+
+@pytest.mark.parametrize(
+    "config, witness, expected",
+    [
+        # The criterion-08 scenario at seed 31 logs remote_stronger
+        # connects, eclipse suspicions and learned headers, so this digest
+        # pins the exchange result strings and the headers_learned counts
+        # byte for byte.
+        pytest.param(
+            ScenarioConfig(
+                seed=31,
+                duration_hours=10.0,
+                n_users=10,
+                n_servers=5,
+                tier_sizes=(1, 0, 0, 0, 0, 4),
+                start_clock_hour=8.0,
+                diurnal=DiurnalProfile(busy_rate_per_hour=4.0),
+                n_eclipsed=1,
+                eclipse_start_minutes=60.0,
+                attacker_alpha=0.2,
+            ),
+            _suspected_stronger_connect,
+            "c4c2f4e5209c5148a5de284e6b9d19148e1399f6128f80df0738cb64cd7eee98",
+            id="criterion08",
+        ),
+        # Backdated attacker stamps under the boundary-inclusive span rule
+        # raise type2 alerts at all three levels, so this digest pins the
+        # span check's crossing times.
+        pytest.param(
+            ScenarioConfig(**BASE, boundary_inclusive=True, backdated_timestamps=True),
+            _type2_alerts_at_every_level,
+            "d7a861478f72ea3c9e309f745373982920741cd5ea1fbbdee91014dcc9d43247",
+            id="backdated-inclusive",
+        ),
+    ],
+)
+def test_pinned_event_log_digest(config, witness, expected):
     result = sim.run_scenario(config)
-    connects = [e for e in result.events if e["kind"] == "connect"]
-    assert any(e["result"] == "remote_stronger" and e["eclipse_suspected"] for e in connects)
+    assert witness(result.events)
     digest = hashlib.sha256(sim.events_jsonl(result.events).encode()).hexdigest()
-    assert digest == "c4c2f4e5209c5148a5de284e6b9d19148e1399f6128f80df0738cb64cd7eee98"
+    assert digest == expected
 
 
 def test_run_scenario_events_are_time_ordered():
