@@ -243,8 +243,21 @@ def test_gossip_detection_requires_evidence():
         assert event["evidence_height"] >= 0
 
 
-def test_trace_matches_connect_events():
-    result = sim.run_scenario(ScenarioConfig(**BASE))
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({}, id="base"),
+        # A gossip-free day whose u41 -> s2 connect falls just short of
+        # 1541.5 s, so the raw clock and the logged event time round to
+        # different seconds; the trace must follow the log.
+        pytest.param(
+            {"seed": 5, "n_users": 50, "duration_hours": 24.0, "gossip_enabled": False},
+            id="day-seed5",
+        ),
+    ],
+)
+def test_trace_matches_connect_events(overrides):
+    result = sim.run_scenario(ScenarioConfig(**{**BASE, **overrides}))
     connects = [e for e in result.events if e["kind"] == "connect"]
     assert len(result.trace.records) == len(connects)
     expected = sorted(
