@@ -170,12 +170,38 @@ def evaluate(
     type1 = level_for_elapsed(elapsed, alert_thresholds(1, model))
     type2 = AlertLevel.GREEN
     span = None
-    if len(state.creation_minutes) == state.confirmations + 1:
+    span_thresholds = _span_thresholds(state, model, boundary_inclusive)
+    if span_thresholds is not None:
         delta = max(0.0, now_minutes - state.arrival_minutes[-1])
         span = (state.creation_minutes[-1] - state.creation_minutes[0]) + delta
-        k_blocks = state.confirmations + (2 if boundary_inclusive else 1)
-        type2 = level_for_elapsed(span, alert_thresholds(k_blocks, model))
+        type2 = level_for_elapsed(span, span_thresholds)
     return AlertAssessment(type1, type2, elapsed, span)
+
+
+def next_crossings(
+    state: AlertState, model: BlockTimingModel = DEFAULT_MODEL, boundary_inclusive: bool = False
+) -> list[tuple[str, AlertLevel, float]]:
+    """(check, level, minute) at which each check reaches each level if no
+    block arrives; level by level, type1 first, and type2 only once the
+    state holds confirmations + 1 blocks."""
+    if not state.creation_minutes:
+        return []
+    span_thresholds = _span_thresholds(state, model, boundary_inclusive)
+    span0 = state.creation_minutes[-1] - state.creation_minutes[0]
+    crossings = []
+    for level, threshold in alert_thresholds(1, model).items():
+        crossings.append(("type1", level, state.creation_minutes[-1] + threshold))
+        if span_thresholds is not None:
+            cross = state.arrival_minutes[-1] + span_thresholds[level] - span0
+            crossings.append(("type2", level, cross))
+    return crossings
+
+
+def _span_thresholds(state: AlertState, model: BlockTimingModel, boundary_inclusive: bool):
+    """type2 thresholds, or None until the state holds confirmations + 1 blocks."""
+    if len(state.creation_minutes) != state.confirmations + 1:
+        return None
+    return alert_thresholds(state.confirmations + (2 if boundary_inclusive else 1), model)
 
 
 @dataclass(frozen=True)

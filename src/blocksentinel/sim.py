@@ -356,23 +356,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         """
         user.alert_generation += 1
         user.raised.clear()
-        state = user.alert_state
-        if not state.creation_minutes:
-            return
         gen = user.alert_generation
-        # Nudge past the boundary: the level comparison is strict, so an
-        # event landing exactly on the crossing would evaluate green.
-        eps = 1e-6
-        for level in (alerts.AlertLevel.YELLOW, alerts.AlertLevel.ORANGE, alerts.AlertLevel.RED):
-            thr1 = alerts.alert_thresholds(1, detection_model)[level]
-            cross = state.creation_minutes[-1] + thr1
-            push(max(cross, now) + eps, _RANK_ALERT, ("alert", user.uid, "type1", level, gen))
-            if len(state.creation_minutes) == state.confirmations + 1:
-                k_blocks = state.confirmations + (2 if config.boundary_inclusive else 1)
-                thr2 = alerts.alert_thresholds(k_blocks, detection_model)[level]
-                span0 = state.creation_minutes[-1] - state.creation_minutes[0]
-                cross2 = state.arrival_minutes[-1] + thr2 - span0
-                push(max(cross2, now) + eps, _RANK_ALERT, ("alert", user.uid, "type2", level, gen))
+        for check, level, cross in alerts.next_crossings(
+            user.alert_state, detection_model, config.boundary_inclusive
+        ):
+            # Nudge past the boundary: the level comparison is strict, so an
+            # event landing exactly on the crossing would evaluate green.
+            push(max(cross, now) + 1e-6, _RANK_ALERT, ("alert", user.uid, check, level, gen))
 
     def deliver(user: _SimUser, height: int, header: BlockHeader, now: float):
         user.window = chainview.append(user.window, header, height)
@@ -418,8 +408,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         for t in times:
             server_index = rng_conn.choices(range(config.n_servers), weights=weights)[0]
             push(t, _RANK_CONN, ("connect", user_index, server_index))
-
-    trace_rows: list[metrics.ConnectionRecord] = []
 
     while queue:
         now, rank, _, payload = heapq.heappop(queue)
@@ -475,9 +463,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         elif kind == "connect":
             _, user_index, server_index = payload
             user = users[user_index]
-            trace_rows.append(
-                metrics.ConnectionRecord(int(round(now * minute)), user.uid, server_names[server_index])
-            )
             if not config.gossip_enabled:
                 events.append(
                     {
@@ -563,13 +548,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         candidates = [m for m in (first_alert[user.uid], first_gossip[user.uid]) if m is not None]
         detection[user.uid] = min(candidates) if candidates else None
 
-    trace = metrics.ConnectionTrace.from_records(
-        trace_rows, t0=0.0, t_max=config.duration_minutes() * minute
-    )
     return ScenarioResult(
         config=config,
         events=tuple(events),
-        trace=trace,
+        trace=export_trace(events, t0=0.0, t_max=config.duration_minutes() * minute),
         eclipse_start_minutes=eclipse_t,
         honest_heights=(0, len(honest_headers) - 1),
         attacker_blocks=len(attack_headers),

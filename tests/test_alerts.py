@@ -208,6 +208,37 @@ def test_evaluate_type2_crossing_and_inclusive_mode():
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    confirmations=st.integers(1, 8),
+    start=st.floats(-200.0, 200.0),
+    gaps=st.lists(
+        st.tuples(st.floats(0.01, 60.0), st.floats(0.01, 60.0)), min_size=1, max_size=12
+    ),
+    boundary_inclusive=st.booleans(),
+)
+def test_next_crossings_bracket_evaluate(confirmations, start, gaps, boundary_inclusive):
+    empty = AlertState(confirmations=confirmations)
+    assert alerts.next_crossings(empty, MODEL, boundary_inclusive) == []
+    state, created, arrived = empty, start, start
+    for created_gap, arrived_gap in gaps:
+        created += created_gap
+        arrived += arrived_gap
+        state = alerts.observe_block(state, created, arrived)
+    crossings = alerts.next_crossings(state, MODEL, boundary_inclusive)
+    checks = ("type1", "type2") if len(gaps) > confirmations else ("type1",)
+    levels = (AlertLevel.YELLOW, AlertLevel.ORANGE, AlertLevel.RED)
+    assert [(check, level) for check, level, _ in crossings] == [
+        (check, level) for level in levels for check in checks
+    ]
+    for check, level, minute in crossings:
+        if minute < arrived:
+            continue
+        before = alerts.evaluate(state, minute - 1e-6, MODEL, boundary_inclusive)
+        after = alerts.evaluate(state, minute + 1e-6, MODEL, boundary_inclusive)
+        assert getattr(before, check) < level <= getattr(after, check)
+
+
 def test_assessment_worst_picks_higher_level():
     a = alerts.AlertAssessment(AlertLevel.YELLOW, AlertLevel.RED, 1.0, 2.0)
     assert a.worst() is AlertLevel.RED
