@@ -87,21 +87,12 @@ def alert_thresholds(k_blocks: int, model: BlockTimingModel = DEFAULT_MODEL) -> 
 
 def classify_probability(probability: float) -> AlertLevel:
     """Alert level for the probability of an observation this quiet."""
-    if probability < 1e-6:
-        return AlertLevel.RED
-    if probability < 1e-4:
-        return AlertLevel.ORANGE
-    if probability < 1e-2:
-        return AlertLevel.YELLOW
-    return AlertLevel.GREEN
+    return AlertLevel(sum(probability < p for p in LEVEL_PROBABILITIES))
 
 
 def level_for_elapsed(elapsed_minutes: float, thresholds: dict[AlertLevel, float]) -> AlertLevel:
-    level = AlertLevel.GREEN
-    for candidate in (AlertLevel.YELLOW, AlertLevel.ORANGE, AlertLevel.RED):
-        if elapsed_minutes > thresholds[candidate]:
-            level = candidate
-    return level
+    """Highest level whose threshold is exceeded; thresholds rise with the level."""
+    return AlertLevel(sum(elapsed_minutes > t for t in thresholds.values()))
 
 
 @dataclass(frozen=True)
@@ -225,6 +216,13 @@ class AttackerModel:
         return self.base_mean_minutes / self.alpha
 
 
+def _escape_threshold(level: AlertLevel, n_blocks: int, model: BlockTimingModel) -> float:
+    """Boundary-inclusive span threshold an n_blocks attack chain must beat."""
+    if level == AlertLevel.GREEN:
+        raise ValueError("green is not an alertable level")
+    return alert_thresholds(n_blocks + 1, model)[level]
+
+
 def attacker_escape_probability(
     attacker: AttackerModel,
     level: AlertLevel,
@@ -238,11 +236,7 @@ def attacker_escape_probability(
     above n_blocks, and escaping means the attacker's Erlang(n_blocks + 1)
     completion time stays below it.
     """
-    if level == AlertLevel.GREEN:
-        raise ValueError("green is not an alertable level")
-    threshold = waiting_time_quantile(
-        n_blocks + 1, LEVEL_PROBABILITIES[level - 1], detection_model
-    )
+    threshold = _escape_threshold(level, n_blocks, detection_model)
     pace = BlockTimingModel(
         mean_block_minutes=attacker.mean_block_minutes(),
         nominal_mean_minutes=detection_model.nominal_mean_minutes,
@@ -264,13 +258,9 @@ def attacker_escape_probability_mc(
     attacker's chain completes inside the threshold; a cross-check on the
     closed form, not a replacement for it.
     """
-    if level == AlertLevel.GREEN:
-        raise ValueError("green is not an alertable level")
+    threshold = _escape_threshold(level, n_blocks, detection_model)
     if trials < 1:
         raise ValueError("trials must be positive")
-    threshold = waiting_time_quantile(
-        n_blocks + 1, LEVEL_PROBABILITIES[level - 1], detection_model
-    )
     rng = numpy.random.default_rng(seed)
     gaps = rng.exponential(attacker.mean_block_minutes(), size=(trials, n_blocks + 1))
     hits = int(numpy.count_nonzero(gaps.sum(axis=1) <= threshold))

@@ -23,14 +23,6 @@ EXIT_DATA = 2
 OBSERVATION_TABLE_MINUTES = (20, 40, 60, 80, 100, 120, 140, 160, 180, 240, 300, 360, 480, 600)
 OBSERVATION_TABLE_COUNTS = (0, 1, 2, 3, 4, 5, 6, 7, 12, 18)
 
-_COLOR = {
-    alerts.AlertLevel.GREEN: "green",
-    alerts.AlertLevel.YELLOW: "yellow",
-    alerts.AlertLevel.ORANGE: "orange",
-    alerts.AlertLevel.RED: "red",
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -291,7 +283,7 @@ def _cmd_tables(args) -> int:
             cells = []
             for n in OBSERVATION_TABLE_COUNTS:
                 p = alerts.prob_at_most_n_blocks(n, t, model)
-                cells.append(f"{_format_cell(p)} {_COLOR[alerts.classify_probability(p)][0]}")
+                cells.append(f"{_format_cell(p)} {alerts.classify_probability(p).name[0].lower()}")
             print(f"{t:>6}" + "".join(f"{cell:>12}" for cell in cells))
         return EXIT_OK
     if args.which == "thresholds":
@@ -299,8 +291,8 @@ def _cmd_tables(args) -> int:
             raise _UsageError("sentinel tables: --k must be positive")
         thresholds = alerts.alert_thresholds(args.k, model)
         print(f"k={args.k} mean={args.mean:g}min")
-        for level in (alerts.AlertLevel.YELLOW, alerts.AlertLevel.ORANGE, alerts.AlertLevel.RED):
-            print(f"{_COLOR[level]:>8}  {thresholds[level]:8.2f} min")
+        for level, minutes in thresholds.items():
+            print(f"{level.name.lower():>8}  {minutes:8.2f} min")
         return EXIT_OK
     alphas = sorted({a for a, _ in alerts.REFERENCE_ESCAPE_PROBABILITIES})
     if args.alpha is not None:
@@ -310,7 +302,7 @@ def _cmd_tables(args) -> int:
     levels = [alerts.AlertLevel.YELLOW, alerts.AlertLevel.ORANGE, alerts.AlertLevel.RED]
     if args.level is not None:
         levels = [alerts.AlertLevel[args.level.upper()]]
-    header = "alpha" + "".join(f"{_COLOR[lv] + ' model':>16}{'reference':>12}" for lv in levels)
+    header = "alpha" + "".join(f"{lv.name.lower() + ' model':>16}{'reference':>12}" for lv in levels)
     print(header)
     for alpha in alphas:
         attacker = alerts.AttackerModel(alpha=alpha, base_mean_minutes=args.mean)
