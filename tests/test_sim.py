@@ -10,6 +10,7 @@ import pytest
 
 from blocksentinel import alerts, chainview, sim
 from blocksentinel.errors import ConfigInvalid
+from blocksentinel.headers import encode_wire
 from blocksentinel.sim import DiurnalProfile, ScenarioConfig
 
 
@@ -23,6 +24,11 @@ def test_generate_chain_is_valid_and_deterministic():
     chainview.audit(window)
     stamps = [h.timestamp for h in chain]
     assert stamps == sorted(stamps)
+    wire = b"".join(encode_wire(header) for header in chain)
+    assert (
+        hashlib.sha256(wire).hexdigest()
+        == "f3fa30f9564450c57a7c3468932a9e6d3ed2705d723cd850f85038ee90d7ebde"
+    )
 
 
 def test_generate_chain_gap_statistics():
@@ -132,6 +138,16 @@ def _type2_alerts_at_every_level(events):
     return levels == {"yellow", "orange", "red"}
 
 
+def _plain_connects_and_minute_start(events):
+    connects = [e for e in events if e["kind"] == "connect"]
+    starts = [e for e in events if e["kind"] == "attack_start"]
+    return (
+        connects != []
+        and all(list(e) == ["t", "kind", "user", "server"] for e in connects)
+        and [e["t"] for e in starts] == [60.0]
+    )
+
+
 @pytest.mark.parametrize(
     "config, witness, expected",
     [
@@ -164,6 +180,15 @@ def _type2_alerts_at_every_level(events):
             _type2_alerts_at_every_level,
             "d7a861478f72ea3c9e309f745373982920741cd5ea1fbbdee91014dcc9d43247",
             id="backdated-inclusive",
+        ),
+        # With gossip off a connect logs only who met whom, and with the
+        # eclipse starting at a set minute rather than at a block the
+        # attack begins exactly at minute 60; no other pin covers either.
+        pytest.param(
+            ScenarioConfig(**BASE, gossip_enabled=False, eclipse_start_at_block=False),
+            _plain_connects_and_minute_start,
+            "818ac467f4b5e4d043aa8693f23cbf8af71143a5884114768a76a4dee3c1ad5d",
+            id="gossip-off-minute",
         ),
     ],
 )
