@@ -14,6 +14,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import alerts, chainview, gossip, metrics
 from .chainview import HeaderWindow
@@ -40,10 +41,22 @@ def mine_header(version, prev_hash, merkle_root, timestamp, n_bits) -> BlockHead
     raise RuntimeError("nonce space exhausted; difficulty too high for the simulator")
 
 
-def block_creation_times(rng, mean_minutes: float, until_minutes: float) -> list[float]:
-    """Poisson arrival times in (0, until_minutes], exponential gaps."""
+def mine_chain(prev_hash, stamps, n_bits, rng, version=DEFAULT_VERSION) -> list[BlockHeader]:
+    """Mine one linked header per unix stamp, drawing each merkle root after its stamp."""
+    headers = []
+    for stamp in stamps:
+        header = mine_header(version, prev_hash, rng.randbytes(32), stamp, n_bits)
+        headers.append(header)
+        prev_hash = block_hash(header)
+    return headers
+
+
+def block_creation_times(
+    rng, mean_minutes: float, until_minutes: float, start: float = 0.0
+) -> list[float]:
+    """Poisson arrival times in (start, until_minutes], exponential gaps."""
     times = []
-    t = 0.0
+    t = start
     while True:
         t += rng.expovariate(1.0 / mean_minutes)
         if t > until_minutes:
@@ -63,17 +76,10 @@ def generate_chain(
     """Mine a linked chain whose gaps are exponential with the given mean."""
     if rng is None:
         rng = random.Random(0)
-    headers = []
-    t = 0.0
-    prev = prev_hash
-    for _ in range(n_blocks):
-        t += rng.expovariate(1.0 / mean_minutes)
-        header = mine_header(
-            version, prev, rng.randbytes(32), start_unix + int(round(t * 60.0)), n_bits
-        )
-        headers.append(header)
-        prev = block_hash(header)
-    return headers
+    # Lazy, so each block draws its gap before its merkle root.
+    gaps = (rng.expovariate(1.0 / mean_minutes) for _ in range(n_blocks))
+    stamps = (start_unix + int(round(t * 60.0)) for t in accumulate(gaps))
+    return mine_chain(prev_hash, stamps, n_bits, rng, version)
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     minute = 60.0  # seconds per virtual minute
 
+    def minutes_to_unix(t: float) -> int:
+        return config.start_unix + int(round(t * minute))
+
+    def unix_to_minutes(stamp: int) -> float:
+        return (stamp - config.start_unix) / minute
+
     # Honest chain: a handful of pre-start blocks anchors windows and alert
     # state, then Poisson arrivals across the scenario.
     backfill_times = []
@@ -260,19 +272,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         rng_chain, config.honest_mean_block_minutes, config.duration_minutes()
     )
     honest_times = backfill_times + live_times
-
-    honest_headers: list[BlockHeader] = []
-    prev = b"\x00" * 32
-    for t in honest_times:
-        header = mine_header(
-            DEFAULT_VERSION,
-            prev,
-            rng_chain.randbytes(32),
-            config.start_unix + int(round(t * minute)),
-            config.n_bits,
-        )
-        honest_headers.append(header)
-        prev = block_hash(header)
+    honest_headers = mine_chain(
+        b"\x00" * 32, [minutes_to_unix(t) for t in honest_times], config.n_bits, rng_chain
+    )
 
     # Eclipse moment and attacker chain.
     eclipse_t: float | None = None
@@ -291,28 +293,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     if eclipse_t is not None:
         fork_height = max(i for i, t in enumerate(honest_times) if t <= eclipse_t)
     if eclipse_t is not None and config.attacker_alpha > 0:
-        fork_index = fork_height
-        pace = config.attacker_pace_minutes()
-        t = eclipse_t
-        while True:
-            t += rng_attack.expovariate(1.0 / pace)
-            if t > config.duration_minutes():
-                break
-            attack_times.append(t)
-        prev = block_hash(honest_headers[fork_index])
-        fork_unix = honest_headers[fork_index].timestamp
-        nominal = config.honest_mean_block_minutes
-        for i, t in enumerate(attack_times):
-            if config.backdated_timestamps:
-                stamp = fork_unix + int(round((i + 1) * nominal * minute))
-            else:
-                stamp = config.start_unix + int(round(t * minute))
-            header = mine_header(
-                DEFAULT_VERSION, prev, rng_attack.randbytes(32), stamp,
-                honest_headers[fork_index].n_bits,
-            )
-            attack_headers.append(header)
-            prev = block_hash(header)
+        attack_times = block_creation_times(
+            rng_attack, config.attacker_pace_minutes(), config.duration_minutes(), start=eclipse_t
+        )
+        fork = honest_headers[fork_height]
+        if config.backdated_timestamps:
+            nominal = config.honest_mean_block_minutes
+            stamps = [
+                fork.timestamp + int(round((i + 1) * nominal * minute))
+                for i in range(len(attack_times))
+            ]
+        else:
+            stamps = [minutes_to_unix(t) for t in attack_times]
+        attack_headers = mine_chain(block_hash(fork), stamps, fork.n_bits, rng_attack)
 
     # Users, servers, schedules.
     users = []
@@ -340,20 +333,25 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     queue: list[tuple] = []
     seq = 0
 
+    def log(now, kind, **fields):
+        events.append({"t": round(now, 6), "kind": kind, **fields})
+
     def push(t, rank, payload):
         nonlocal seq
         heapq.heappush(queue, (t, rank, seq, payload))
         seq += 1
 
-    def unix_to_minutes(stamp: int) -> float:
-        return (stamp - config.start_unix) / minute
+    def observe(user: _SimUser, headers, now: float):
+        """Record arrived headers in the user's alert state and queue the
+        future threshold crossings that state implies.
 
-    def schedule_alert_checks(user: _SimUser, now: float):
-        """Queue the future threshold crossings implied by current state.
-
-        Called after any state change; standing alerts re-arm because the
-        window they judged no longer exists.
+        Standing alerts re-arm because the window they judged no longer
+        exists.
         """
+        for header in headers:
+            user.alert_state = alerts.observe_block(
+                user.alert_state, unix_to_minutes(header.timestamp), now
+            )
         user.alert_generation += 1
         user.raised.clear()
         gen = user.alert_generation
@@ -366,44 +364,53 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     def deliver(user: _SimUser, height: int, header: BlockHeader, now: float):
         user.window = chainview.append(user.window, header, height)
-        user.alert_state = alerts.observe_block(
-            user.alert_state, unix_to_minutes(header.timestamp), now
-        )
-        schedule_alert_checks(user, now)
+        observe(user, [header], now)
 
-    def note_alert(user: _SimUser, kind: str, level: alerts.AlertLevel, now: float):
-        if (kind, level) in user.raised:
-            return
-        user.raised.add((kind, level))
-        events.append(
-            {
-                "t": round(now, 6),
-                "kind": "alert",
-                "user": user.uid,
-                "alert": kind,
-                "level": level.name.lower(),
-            }
-        )
-        if (
-            level >= alerts.AlertLevel.YELLOW
-            and user.eclipsed
-            and eclipse_t is not None
-            and now >= eclipse_t
-            and user.first_alert_minutes is None
-        ):
-            user.first_alert_minutes = now
+    def exchange(user: _SimUser, server_index: int, now: float) -> tuple[dict, list]:
+        """Gossip with one server; returns the connect event's outcome fields
+        and the headers the exchange brought in."""
+        transferred = 0
+
+        def send(message):
+            nonlocal transferred
+            served = gossip.server_respond(server_windows[server_index], message, gossip_cfg)
+            server_windows[server_index] = served.window
+            for leg in (message, served.reply):
+                if leg.payload is not None:
+                    transferred += len(leg.payload)
+            return served.reply
+
+        pre = user.window
+        cx, push_error = gossip.exchange(pre, send, gossip_cfg)
+        if push_error is not None:
+            raise push_error
+        user.window = cx.window
+        new_headers = chainview.headers_above(pre, user.window)
+        if new_headers:
+            # Catch the alert engine up on headers gossip brought in.
+            observe(user, new_headers, now)
+        outcome = {
+            "result": cx.outcome.result.value,
+            "learned": cx.outcome.headers_learned,
+            "transferred": transferred,
+            "eclipse_suspected": cx.outcome.eclipse_suspected,
+        }
+        if cx.outcome.fork_height is not None:
+            outcome["fork_height"] = cx.outcome.fork_height
+        return outcome, new_headers
 
     # Seed everyone with the backfill prefix (heights start at 0).
     for user in users:
         for height, header in enumerate(honest_headers[: config.backfill_blocks]):
             deliver(user, height, header, now=0.0)
 
-    for offset, t in enumerate(live_times):
-        push(t, _RANK_HONEST, ("honest", config.backfill_blocks + offset))
+    for height in range(config.backfill_blocks, len(honest_headers)):
+        header = honest_headers[height]
+        push(honest_times[height], _RANK_HONEST, ("block", "honest", height, header))
     if eclipse_t is not None:
         push(eclipse_t, _RANK_ATTACK, ("attack_start",))
-    for offset, t in enumerate(attack_times):
-        push(t, _RANK_ATTACK, ("attack", offset))
+    for offset, (t, header) in enumerate(zip(attack_times, attack_headers)):
+        push(t, _RANK_ATTACK, ("block", "attacker", fork_height + 1 + offset, header))
     for user_index, times in enumerate(schedule):
         for t in times:
             server_index = rng_conn.choices(range(config.n_servers), weights=weights)[0]
@@ -412,42 +419,26 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     while queue:
         now, rank, _, payload = heapq.heappop(queue)
         kind = payload[0]
-        if kind == "honest":
-            height = payload[1]
-            header = honest_headers[height]
-            events.append({"t": round(now, 6), "kind": "block", "height": height, "miner": "honest"})
+        if kind == "block":
+            _, miner, height, header = payload
+            log(now, "block", height=height, miner=miner)
+            attacker = miner == "attacker"
             for user in users:
-                if user.eclipsed and eclipse_t is not None and now > eclipse_t:
+                # Attacker blocks reach only the victims, and once the
+                # eclipse has begun honest blocks reach everyone else.
+                if user.eclipsed != attacker and (attacker or now > eclipse_t):
                     continue
                 try:
                     deliver(user, height, header, now)
                 except (HeightGap, LinkMismatch):
-                    # A transiently stronger fork reached this user through
-                    # gossip; honest delivery resumes once exchanges heal it.
+                    # Gossip already gave this user a stronger fork, which
+                    # this block does not extend.
                     continue
         elif kind == "attack_start":
-            events.append(
-                {
-                    "t": round(now, 6),
-                    "kind": "attack_start",
-                    "fork_height": fork_height,
-                    "victims": [u.uid for u in users if u.eclipsed],
-                }
+            log(
+                now, "attack_start",
+                fork_height=fork_height, victims=[u.uid for u in users if u.eclipsed],
             )
-        elif kind == "attack":
-            offset = payload[1]
-            header = attack_headers[offset]
-            height = fork_height + 1 + offset
-            events.append({"t": round(now, 6), "kind": "block", "height": height, "miner": "attacker"})
-            for user in users:
-                if not user.eclipsed:
-                    continue
-                try:
-                    deliver(user, height, header, now)
-                except (HeightGap, LinkMismatch):
-                    # Victim already adopted a stronger view through gossip;
-                    # the attacker's continuation no longer connects.
-                    continue
         elif kind == "alert":
             _, uid, alert_kind, level, gen = payload
             user = users[int(uid[1:])]
@@ -458,86 +449,41 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 boundary_inclusive=config.boundary_inclusive,
             )
             current = assessment.type1 if alert_kind == "type1" else assessment.type2
-            if current >= level:
-                note_alert(user, alert_kind, level, now)
+            if current < level:
+                continue
+            user.raised.add((alert_kind, level))
+            log(now, "alert", user=user.uid, alert=alert_kind, level=level.name.lower())
+            if user.eclipsed and now >= eclipse_t and user.first_alert_minutes is None:
+                user.first_alert_minutes = now
         elif kind == "connect":
             _, user_index, server_index = payload
             user = users[user_index]
-            if not config.gossip_enabled:
-                events.append(
-                    {
-                        "t": round(now, 6),
-                        "kind": "connect",
-                        "user": user.uid,
-                        "server": server_names[server_index],
-                    }
-                )
-                continue
-            transferred = 0
-
-            def send(message):
-                nonlocal transferred
-                served = gossip.server_respond(server_windows[server_index], message, gossip_cfg)
-                server_windows[server_index] = served.window
-                for leg in (message, served.reply):
-                    if leg.payload is not None:
-                        transferred += len(leg.payload)
-                return served.reply
-
-            pre = user.window
-            cx, push_error = gossip.exchange(pre, send, gossip_cfg)
-            if push_error is not None:
-                raise push_error
-            user.window = cx.window
-            new_headers = chainview.headers_above(pre, user.window)
-            if new_headers:
-                # Catch the alert engine up on headers gossip brought in.
-                for header in new_headers:
-                    user.alert_state = alerts.observe_block(
-                        user.alert_state, unix_to_minutes(header.timestamp), now
-                    )
-                schedule_alert_checks(user, now)
-            event = {
-                "t": round(now, 6),
-                "kind": "connect",
-                "user": user.uid,
-                "server": server_names[server_index],
-                "result": cx.outcome.result.value,
-                "learned": cx.outcome.headers_learned,
-                "transferred": transferred,
-                "eclipse_suspected": cx.outcome.eclipse_suspected,
-            }
-            if cx.outcome.fork_height is not None:
-                event["fork_height"] = cx.outcome.fork_height
-            events.append(event)
+            server = server_names[server_index]
+            outcome, new_headers = {}, []
+            if config.gossip_enabled:
+                outcome, new_headers = exchange(user, server_index, now)
+            log(now, "connect", user=user.uid, server=server, **outcome)
+            suspected = outcome.get("eclipse_suspected", False)
             if (
                 user.eclipsed
-                and eclipse_t is not None
                 and now >= eclipse_t
                 and user.first_gossip_minutes is None
-                and (cx.outcome.eclipse_suspected or new_headers)
+                and (suspected or new_headers)
             ):
                 user.first_gossip_minutes = now
-                events.append(
-                    {
-                        "t": round(now, 6),
-                        "kind": "gossip_detection",
-                        "user": user.uid,
-                        "server": server_names[server_index],
-                        "reason": "conflict" if cx.outcome.eclipse_suspected else "extension",
-                        "evidence_height": (
-                            cx.outcome.fork_height
-                            if cx.outcome.eclipse_suspected
-                            else user.window.tip_height()
-                        ),
-                    }
+                log(
+                    now, "gossip_detection", user=user.uid, server=server,
+                    reason="conflict" if suspected else "extension",
+                    evidence_height=(
+                        outcome["fork_height"] if suspected else user.window.tip_height()
+                    ),
                 )
 
     detection: dict[str, float | None] = {}
     first_alert: dict[str, float | None] = {}
     first_gossip: dict[str, float | None] = {}
     for user in users:
-        if not user.eclipsed or eclipse_t is None:
+        if not user.eclipsed:
             continue
         first_alert[user.uid] = (
             None if user.first_alert_minutes is None else user.first_alert_minutes - eclipse_t

@@ -28,15 +28,8 @@ def mined_chain(n, rng, mean_minutes=10.0):
 def mine_suffix(parent, n, rng, n_bits=None, version=2, step_seconds=600):
     """Mine n linked blocks on top of `parent`, PoW-valid."""
     n_bits = parent.n_bits if n_bits is None else n_bits
-    out = []
-    prev = block_hash(parent)
-    for i in range(n):
-        header = sim.mine_header(
-            version, prev, rng.randbytes(32), parent.timestamp + (i + 1) * step_seconds, n_bits
-        )
-        out.append(header)
-        prev = block_hash(header)
-    return out
+    stamps = [parent.timestamp + (i + 1) * step_seconds for i in range(n)]
+    return sim.mine_chain(block_hash(parent), stamps, n_bits, rng, version)
 
 
 def window_of(headers, start_height=0, capacity=128):
