@@ -18,6 +18,7 @@ transport.
 
 import base64
 import functools
+import struct
 from dataclasses import dataclass, replace
 
 from . import chainview
@@ -46,7 +47,6 @@ FIELD_RANGE = "X-Gossip-Range"
 FIELD_DATA = "X-Gossip-Data"
 
 BODY_MAGIC = b"GOSHDR01"
-BODY_CONTENT_TYPE = "application/x-gossip-headers"
 
 
 class RequestAll:
@@ -187,20 +187,38 @@ def _absorb(
     return AbsorbResult(merged, comparison, fork, learned)
 
 
+def _take_payload(
+    window: HeaderWindow, msg: GossipMessage
+) -> tuple[HeaderWindow, AbsorbResult | None, bool]:
+    """Absorb a message's payload, if any: (window, absorbed, rejected).
+
+    The window comes back unchanged when there is no payload or when it
+    fails validation, which `rejected` reports.
+    """
+    if msg.payload is None:
+        return window, None, False
+    try:
+        absorbed = _absorb(window, msg.payload, msg.payload_range.beg)
+    except InvalidRemote:
+        return window, None, True
+    return absorbed.window, absorbed, False
+
+
 def _armored_size(raw_bytes: int) -> int:
     return 4 * ((raw_bytes + 2) // 3)
 
 
 def _fit_payload(
     window: HeaderWindow, want, config: GossipConfig
-) -> tuple[CompactChainSegment, HeaderRange] | None:
-    """Newest window slice over `want` whose armored form fits the budget."""
+) -> tuple[CompactChainSegment | None, HeaderRange | None]:
+    """Newest window slice over `want` whose armored form fits the budget,
+    as (payload, payload_range); (None, None) when nothing fits."""
     span = window.span()
     if span is None or want is None:
-        return None
+        return None, None
     overlap = span if want is REQUEST_ALL else want.intersect(span)
     if overlap is None:
-        return None
+        return None, None
     headers = chainview.slice_window(window, overlap)
     beg = overlap.beg
     while headers:
@@ -212,7 +230,7 @@ def _fit_payload(
         drop = max(1, (3 * surplus // 4) // 40)
         headers = headers[drop:]
         beg += drop
-    return None
+    return None, None
 
 
 @dataclass(frozen=True)
@@ -233,32 +251,20 @@ def server_respond(
     the requested slice and the server's own request for whatever the
     client advertised beyond the server's view.
     """
-    new_window = window
-    accepted = 0
-    rejected = False
-    comparison = None
-    if msg.payload is not None:
-        try:
-            absorbed = _absorb(window, msg.payload, msg.payload_range.beg)
-            new_window = absorbed.window
-            accepted = absorbed.headers_learned
-            comparison = absorbed.comparison
-        except InvalidRemote:
-            rejected = True
+    new_window, absorbed, rejected = _take_payload(window, msg)
     requested = None
     if msg.advertised is not None:
         if new_window.is_empty():
             requested = msg.advertised
         elif msg.advertised.end > new_window.tip_height():
             requested = HeaderRange(new_window.tip_height() + 1, msg.advertised.end)
-    fitted = _fit_payload(new_window, msg.requested, config)
-    reply = GossipMessage(
-        advertised=new_window.span(),
-        requested=requested,
-        payload=fitted[0] if fitted else None,
-        payload_range=fitted[1] if fitted else None,
+    payload, payload_range = _fit_payload(new_window, msg.requested, config)
+    reply = GossipMessage(new_window.span(), requested, payload, payload_range)
+    if absorbed is None:
+        return ServerExchange(reply, new_window, 0, rejected, None)
+    return ServerExchange(
+        reply, new_window, absorbed.headers_learned, rejected, absorbed.comparison
     )
-    return ServerExchange(reply, new_window, accepted, rejected, comparison)
 
 
 @dataclass(frozen=True)
@@ -277,40 +283,23 @@ def client_fulfill(
     the comparison with a fork below the local tip, meaning someone has
     been feeding this client a weaker chain.
     """
-    new_window = window
-    result = ChainComparison.TIE
-    fork_height = None
-    learned = 0
-    remote_invalid = False
-    if reply.payload is not None:
-        try:
-            absorbed = _absorb(window, reply.payload, reply.payload_range.beg)
-            new_window = absorbed.window
-            learned = absorbed.headers_learned
-            fork_height = absorbed.fork_height
-            result = absorbed.comparison
-        except InvalidRemote:
-            remote_invalid = True
-    eclipse_suspected = (
-        result is ChainComparison.REMOTE_STRONGER and fork_height is not None
-    )
+    new_window, absorbed, remote_invalid = _take_payload(window, reply)
+    if absorbed is None:
+        outcome = ExchangeOutcome(ChainComparison.TIE, None, 0, False, remote_invalid)
+    else:
+        outcome = ExchangeOutcome(
+            result=absorbed.comparison,
+            fork_height=absorbed.fork_height,
+            headers_learned=absorbed.headers_learned,
+            eclipse_suspected=(
+                absorbed.comparison is ChainComparison.REMOTE_STRONGER
+                and absorbed.fork_height is not None
+            ),
+        )
     follow_up = None
-    if reply.requested is not None:
-        fitted = _fit_payload(new_window, reply.requested, config)
-        if fitted is not None:
-            follow_up = GossipMessage(
-                advertised=new_window.span(),
-                requested=None,
-                payload=fitted[0],
-                payload_range=fitted[1],
-            )
-    outcome = ExchangeOutcome(
-        result=result,
-        fork_height=fork_height,
-        headers_learned=learned,
-        eclipse_suspected=eclipse_suspected,
-        remote_invalid=remote_invalid,
-    )
+    payload, payload_range = _fit_payload(new_window, reply.requested, config)
+    if payload is not None:
+        follow_up = GossipMessage(new_window.span(), None, payload, payload_range)
     return ClientExchange(follow_up, outcome, new_window)
 
 
@@ -435,12 +424,12 @@ _FLAG_REQ_RANGE = 0x02
 _FLAG_REQ_ALL = 0x04
 _FLAG_PAYLOAD = 0x08
 
+_RANGE = struct.Struct("<QQ")
+_LENGTH = struct.Struct("<I")
+
 
 def encode_body(msg: GossipMessage) -> bytes:
     """Binary body framing: magic, flag byte, u64 ranges, then the segment."""
-    import struct
-
-    parts = [BODY_MAGIC]
     flags = 0
     if msg.advertised is not None:
         flags |= _FLAG_ADV
@@ -450,65 +439,55 @@ def encode_body(msg: GossipMessage) -> bytes:
         flags |= _FLAG_REQ_RANGE
     if msg.payload is not None:
         flags |= _FLAG_PAYLOAD
-    parts.append(struct.pack("<B", flags))
+    parts = [BODY_MAGIC, bytes([flags])]
     if msg.advertised is not None:
-        parts.append(struct.pack("<QQ", msg.advertised.beg, msg.advertised.end))
+        parts.append(_RANGE.pack(msg.advertised.beg, msg.advertised.end))
     if flags & _FLAG_REQ_RANGE:
-        parts.append(struct.pack("<QQ", msg.requested.beg, msg.requested.end))
+        parts.append(_RANGE.pack(msg.requested.beg, msg.requested.end))
     if msg.payload is not None:
         raw = serialize_segment(msg.payload)
-        parts.append(
-            struct.pack("<QQI", msg.payload_range.beg, msg.payload_range.end, len(raw))
-        )
+        parts.append(_RANGE.pack(msg.payload_range.beg, msg.payload_range.end))
+        parts.append(_LENGTH.pack(len(raw)))
         parts.append(raw)
     return b"".join(parts)
 
 
 def decode_body(body: bytes) -> GossipMessage:
     """Parse a binary body; raises MalformedBody on truncation or bad magic."""
-    import struct
-
     if len(body) < len(BODY_MAGIC) + 1:
         raise MalformedBody("body shorter than its fixed prefix")
     if body[: len(BODY_MAGIC)] != BODY_MAGIC:
         raise MalformedBody("bad magic")
-    offset = len(BODY_MAGIC)
-    (flags,) = struct.unpack_from("<B", body, offset)
-    offset += 1
+    flags = body[len(BODY_MAGIC)]
+    offset = len(BODY_MAGIC) + 1
     known = _FLAG_ADV | _FLAG_REQ_RANGE | _FLAG_REQ_ALL | _FLAG_PAYLOAD
     if flags & ~known or (flags & _FLAG_REQ_RANGE and flags & _FLAG_REQ_ALL):
         raise MalformedBody(f"bad flags: {flags:#04x}")
 
-    def take(fmt):
+    def take(layout: struct.Struct):
         nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(body):
+        if offset + layout.size > len(body):
             raise MalformedBody("truncated body")
-        values = struct.unpack_from(fmt, body, offset)
-        offset += size
+        values = layout.unpack_from(body, offset)
+        offset += layout.size
         return values
 
-    advertised = requested = payload = payload_range = None
-    if flags & _FLAG_ADV:
-        beg, end = take("<QQ")
+    def take_range() -> HeaderRange:
         try:
-            advertised = HeaderRange(beg, end)
+            return HeaderRange(*take(_RANGE))
         except ValueError as err:
             raise MalformedBody(str(err)) from err
+
+    advertised = take_range() if flags & _FLAG_ADV else None
+    requested = None
     if flags & _FLAG_REQ_ALL:
         requested = REQUEST_ALL
     elif flags & _FLAG_REQ_RANGE:
-        beg, end = take("<QQ")
-        try:
-            requested = HeaderRange(beg, end)
-        except ValueError as err:
-            raise MalformedBody(str(err)) from err
+        requested = take_range()
+    payload = payload_range = None
     if flags & _FLAG_PAYLOAD:
-        beg, end, raw_len = take("<QQI")
-        try:
-            payload_range = HeaderRange(beg, end)
-        except ValueError as err:
-            raise MalformedBody(str(err)) from err
+        payload_range = take_range()
+        (raw_len,) = take(_LENGTH)
         if offset + raw_len > len(body):
             raise MalformedBody("truncated payload bytes")
         raw = body[offset : offset + raw_len]
