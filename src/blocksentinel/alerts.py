@@ -112,9 +112,6 @@ class AlertState:
         if self.confirmations < 1:
             raise ValueError("confirmations must be positive")
 
-    def last_arrival(self) -> float | None:
-        return self.arrival_minutes[-1] if self.arrival_minutes else None
-
 
 def observe_block(state: AlertState, created_minutes: float, arrived_minutes: float) -> AlertState:
     """Record one block; keeps the newest confirmations + 1 entries."""

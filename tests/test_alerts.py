@@ -140,7 +140,7 @@ def test_alert_state_keeps_last_confirmations_plus_one():
         state = alerts.observe_block(state, 10.0 * i, 10.0 * i + 1.0)
     assert len(state.creation_minutes) == 3
     assert state.creation_minutes == (20.0, 30.0, 40.0)
-    assert state.last_arrival() == 41.0
+    assert state.arrival_minutes[-1] == 41.0
 
 
 def test_alert_state_clamps_backward_creation_stamps():
@@ -153,7 +153,7 @@ def test_alert_state_clamps_backward_creation_stamps():
 def test_alert_state_validation():
     with pytest.raises(ValueError):
         AlertState(confirmations=0)
-    assert AlertState(confirmations=6).last_arrival() is None
+    assert AlertState(confirmations=6).arrival_minutes == ()
 
 
 def test_evaluate_empty_state_is_green():
