@@ -1,5 +1,6 @@
 """Header-gossip exchange, codec, and polling tests."""
 
+import itertools
 import random
 from dataclasses import replace
 
@@ -16,7 +17,15 @@ from blocksentinel.gossip import (
     ServerDirectory,
 )
 from blocksentinel.chainview import ChainComparison, HeaderRange
-from blocksentinel.headers import block_hash, compress, expand
+from blocksentinel.headers import (
+    BlockHeader,
+    CompactChainSegment,
+    ReducedHeader,
+    block_hash,
+    check_pow,
+    compress,
+    expand,
+)
 from support import eclipse_fixture, linked_headers, mine_suffix, mined_chain, window_of
 
 
@@ -175,6 +184,55 @@ def test_invalid_payload_rejected_but_reply_served(chain):
     assert served.headers_accepted == 0
     assert served.window == server
     assert expand(served.reply.payload) == chain[:30]
+
+
+def _records(headers):
+    return tuple(ReducedHeader(h.merkle_root, h.timestamp, h.nonce) for h in headers)
+
+
+def _pow_failure_segment(chain):
+    """Held heights 10-29, then a height-30 header that misses its target."""
+    parent = chain[29]
+    base = BlockHeader(
+        parent.version, block_hash(parent), bytes(32), parent.timestamp + 600, parent.n_bits, 0
+    )
+    bad = next(h for n in itertools.count() if not check_pow(h := replace(base, nonce=n)))
+    return CompactChainSegment(chain[10], _records(chain[11:30] + [bad]))
+
+
+def _swapped_parent_segment(chain):
+    """Held heights 10-24, a valid rival at 25, then the held records of 26-29.
+
+    The rival is picked so that height 26's record misses its target on top
+    of it: rebuilt, that header fails proof of work; reused from the window,
+    it would break the link to the rival.
+    """
+    parent = chain[24]
+    base = BlockHeader(
+        parent.version, block_hash(parent), bytes(32), chain[25].timestamp, parent.n_bits, 0
+    )
+    for nonce in itertools.count():
+        rival = replace(base, nonce=nonce)
+        if check_pow(rival) and not check_pow(replace(chain[26], prev_hash=block_hash(rival))):
+            return CompactChainSegment(chain[10], _records(chain[11:25] + [rival] + chain[26:30]))
+
+
+@pytest.mark.parametrize(
+    "build", [_pow_failure_segment, _swapped_parent_segment], ids=["pow", "link"]
+)
+def test_hostile_run_behind_held_prefix_is_rejected(chain, build):
+    # The payload opens with headers the receiver already holds, so a
+    # shortcut over the held prefix must not skip checking what follows.
+    window = window_of(chain[:30])
+    segment = build(chain)
+    msg = GossipMessage(payload=segment, payload_range=HeaderRange(10, 9 + len(segment)))
+    served = gossip.server_respond(window, msg)
+    fulfilled = gossip.client_fulfill(window, msg)
+    assert served.payload_rejected
+    assert fulfilled.outcome.remote_invalid
+    for after in (served.window, fulfilled.window):
+        assert after == window
+        chainview.audit(after)
 
 
 def test_follow_up_covers_only_requested_overhang(chain):
