@@ -192,7 +192,7 @@ class MatchedViews:
         if self.start is None:
             return None
         for i, (ours, theirs) in enumerate(zip(self.local, self.remote)):
-            if ours != theirs:
+            if ours is not theirs and ours != theirs:
                 return self.start + i
         return None
 

@@ -162,12 +162,15 @@ def _absorb(
     range plus a valid continuation is the stronger chain.  Raises
     InvalidRemote when the expanded run fails validation.
 
-    Learned headers are counted from the merge without hashing: below the
+    The segment is expanded against the local headers from `start` up, so
+    only headers the window lacks are built and hashed.  Learned headers
+    are counted from the merge without hashing: below the
     local tip plus one, or the fork when the remote run was adopted, the
     merge keeps the local prefix, and every merged header from there on
     links to a parent the local view lacks, so none equals a local header.
     """
-    received = expand(segment)
+    offset = start - window.start_height
+    received = expand(segment, window.headers[offset:] if offset >= 0 else ())
     matched = chainview.match_views(window, received, start)
     fork = matched.fork_height()
     comparison = chainview.find_strongest_chain(matched.local, matched.remote)

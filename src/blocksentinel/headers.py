@@ -16,7 +16,9 @@ carried as sparse exception records and prev_hash is recomputed while
 expanding.
 """
 
+import functools
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -62,6 +64,17 @@ class BlockHeader:
             if not 0 <= value <= _U32:
                 raise ValueError(f"{name} out of u32 range: {value!r}")
 
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """Block hash, computed on first use; not a field, so it stays out
+        of equality, hashing and repr."""
+        return sha256d(encode_wire(self))
+
+
+_header_fields = operator.attrgetter(
+    "version", "prev_hash", "merkle_root", "timestamp", "n_bits", "nonce"
+)
+
 
 def encode_wire(header: BlockHeader) -> bytes:
     """Serialize a header to its canonical 80 bytes."""
@@ -85,7 +98,7 @@ def decode_wire(data: bytes) -> BlockHeader:
 
 def block_hash(header: BlockHeader) -> bytes:
     """Double SHA-256 of the wire bytes, internal byte order."""
-    return sha256d(encode_wire(header))
+    return header.digest
 
 
 def hash_int(header: BlockHeader) -> int:
@@ -98,13 +111,15 @@ def hash_hex(header: BlockHeader) -> str:
     return block_hash(header)[::-1].hex()
 
 
+@functools.lru_cache(maxsize=256)
 def target_from_nbits(n_bits: int) -> int:
     """Expand a compact difficulty word into the full 256-bit target.
 
     value = mantissa * 256**(exponent - 3) with the exponent in the high
     byte and the mantissa in the low three bytes.  Raises InvalidCompact
     for a zero mantissa, a set sign bit, a value that truncates to zero,
-    or a value above 2**256 - 1.
+    or a value above 2**256 - 1.  Memoised with a bounded cache, because
+    peers choose the words.
     """
     if not 0 <= n_bits <= _U32:
         raise InvalidCompact(f"not a u32: {n_bits!r}")
@@ -190,10 +205,17 @@ def compress(headers) -> CompactChainSegment:
     return CompactChainSegment(first, tuple(reduced), changes)
 
 
-def expand(segment: CompactChainSegment) -> list[BlockHeader]:
-    """Rebuild the full header run, recomputing every prev_hash link."""
-    headers = [segment.first]
-    version, n_bits = segment.first.version, segment.first.n_bits
+def expand(segment: CompactChainSegment, known=()) -> list[BlockHeader]:
+    """Rebuild the full header run, recomputing every prev_hash link.
+
+    `known` is a held run at the segment's heights.  While the rebuilt
+    headers equal it, its objects, and so their cached hashes, are reused;
+    only from the first header that differs are new ones built.
+    """
+    first = segment.first
+    held = bool(known) and known[0] == first
+    headers = [known[0] if held else first]
+    version, n_bits = first.version, first.n_bits
     for index, record in enumerate(segment.reduced, start=1):
         change = segment.changes.get(index)
         if change is not None:
@@ -201,16 +223,12 @@ def expand(segment: CompactChainSegment) -> list[BlockHeader]:
                 version = change.version
             if change.n_bits is not None:
                 n_bits = change.n_bits
-        headers.append(
-            BlockHeader(
-                version=version,
-                prev_hash=block_hash(headers[-1]),
-                merkle_root=record.merkle_root,
-                timestamp=record.timestamp,
-                n_bits=n_bits,
-                nonce=record.nonce,
-            )
+        fields = (
+            version, block_hash(headers[-1]), record.merkle_root, record.timestamp, n_bits,
+            record.nonce,
         )
+        held = held and index < len(known) and _header_fields(known[index]) == fields
+        headers.append(known[index] if held else BlockHeader(*fields))
     return headers
 
 

@@ -1,5 +1,6 @@
 """Wire and segment codec tests, anchored on the well-known first block."""
 
+import dataclasses
 import random
 
 import pytest
@@ -102,6 +103,26 @@ def test_target_expansion_low_exponents():
 def test_target_expansion_rejects_invalid_compacts(n_bits):
     with pytest.raises(InvalidCompact):
         hdr.target_from_nbits(n_bits)
+
+
+def test_target_memo_is_bounded():
+    # Peers choose the compact words, so the memo must not grow with them.
+    assert 0 < hdr.target_from_nbits.cache_info().maxsize <= 256
+
+
+def test_digest_is_cached_outside_the_fields():
+    header = hdr.decode_wire(bytes.fromhex(FIRST_BLOCK_HEX))
+    twin = hdr.decode_wire(bytes.fromhex(FIRST_BLOCK_HEX))
+    assert hdr.block_hash(header) is hdr.block_hash(header)
+    assert "digest" in vars(header) and "digest" not in vars(twin)
+    assert [f.name for f in dataclasses.fields(header)] == [
+        "version", "prev_hash", "merkle_root", "timestamp", "n_bits", "nonce"
+    ]
+    assert repr(header) == repr(twin) and "digest" not in repr(header)
+    assert header == twin and hash(header) == hash(twin)
+    bumped = dataclasses.replace(header, nonce=header.nonce + 1)
+    assert hdr.block_hash(bumped) == hdr.sha256d(hdr.encode_wire(bumped))
+    assert hdr.block_hash(bumped) != hdr.block_hash(header)
 
 
 def test_check_pow_fails_at_impossible_difficulty():
@@ -220,6 +241,63 @@ def test_segment_roundtrip_with_random_changes(data):
     assert hdr.expand(segment) == run
     raw = hdr.serialize_segment(segment)
     assert hdr.parse_segment(raw, n) == segment
+
+
+def _varied_run(n, rng):
+    """Linked headers whose version and n_bits change every few heights."""
+    run, prev = [], bytes(32)
+    for i in range(n):
+        run.append(hdr.BlockHeader(1 + i // 3, prev, rng.randbytes(32), 600 * i,
+                                   hdr.EASY_NBITS - i // 4, i))
+        prev = hdr.block_hash(run[-1])
+    return run
+
+
+def _differ_at(segment, kind, at):
+    """The segment with its header at index `at` changed in one way."""
+    if kind == "first":
+        return dataclasses.replace(segment, first=dataclasses.replace(segment.first, nonce=7))
+    if kind == "record":
+        reduced = list(segment.reduced)
+        reduced[at - 1] = dataclasses.replace(reduced[at - 1], nonce=reduced[at - 1].nonce + 1)
+        return dataclasses.replace(segment, reduced=tuple(reduced))
+    running = hdr.expand(segment)[at]
+    old = segment.changes.get(at, hdr.FieldChange())
+    if kind == "version":
+        change = dataclasses.replace(old, version=running.version + 100)
+    else:
+        change = dataclasses.replace(old, n_bits=running.n_bits ^ 1)
+    return dataclasses.replace(segment, changes={**segment.changes, at: change})
+
+
+@pytest.mark.parametrize("known_size", ["shorter", "longer"])
+@pytest.mark.parametrize("kind", ["first", "record", "version", "n_bits", "none"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_expand_reuses_exactly_the_held_prefix(kind, known_size, data):
+    base = _varied_run(20, random.Random(data.draw(st.integers(0, 2**32))))
+    size = data.draw(st.integers(2, 10))
+    lo = data.draw(st.integers(0, 6))
+    if known_size == "shorter":
+        known = base[lo : lo + data.draw(st.integers(0, size - 1))]
+    else:
+        known = base[lo : lo + data.draw(st.integers(size, size + 3))]
+    # Decoded from bytes, as off the wire: no object is shared with `known`.
+    wire = hdr.serialize_segment(hdr.compress(base[lo : lo + size]))
+    segment = hdr.parse_segment(wire, size)
+    at = {"first": 0, "none": size}.get(kind)
+    if at is None:
+        at = data.draw(st.integers(1, size - 1))
+    if kind != "none":
+        segment = _differ_at(segment, kind, at)
+    plain = hdr.expand(segment)
+    reused = hdr.expand(segment, known)
+    assert reused == plain
+    held = min(at, len(known))
+    assert all(reused[i] is known[i] for i in range(held))
+    assert not any(h is k for h in reused[held:] for k in known)
+    if held < len(known) and held < size:
+        assert reused[held] != known[held]
 
 
 def test_full_window_segment_record_section():
