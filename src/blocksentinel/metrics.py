@@ -50,6 +50,12 @@ def _encode(names) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(index), np.fromiter(map(index.__getitem__, names), np.intp, len(names))
 
 
+def _in_order(times, user_codes, server_codes) -> bool:
+    """True when no row sorts before the row above it by (time, user, server)."""
+    (t0, t1), (u0, u1), (s0, s1) = ((c[:-1], c[1:]) for c in (times, user_codes, server_codes))
+    return not np.count_nonzero((t1 < t0) | (t1 == t0) & ((u1 < u0) | (u1 == u0) & (s1 < s0)))
+
+
 def _group_rows(codes, names) -> dict[str, np.ndarray]:
     """Each name's row indices, in row order."""
     order = np.argsort(codes, kind="stable")
@@ -94,14 +100,16 @@ class ConnectionTrace:
 
     @classmethod
     def from_columns(cls, times, users, servers, t0=None, t_max=None) -> "ConnectionTrace":
-        """Code and sort the rows; the window defaults to their observed extent."""
+        """Code the rows and sort them unless they already are in order; the
+        window defaults to their observed extent."""
         user_names, user_codes = _encode(users)
         server_names, server_codes = _encode(servers)
         times = np.array(times, dtype=np.float64)
-        order = np.lexsort((server_codes, user_codes, times))
-        times = times[order]
+        if not _in_order(times, user_codes, server_codes):
+            order = np.lexsort((server_codes, user_codes, times))
+            times, user_codes, server_codes = times[order], user_codes[order], server_codes[order]
         first, last = (float(times[0]), float(times[-1])) if times.size else (0.0, 0.0)
-        return cls(times, user_codes[order], server_codes[order], user_names, server_names,
+        return cls(times, user_codes, server_codes, user_names, server_names,
                    first if t0 is None else t0, last if t_max is None else t_max)
 
     @cached_property

@@ -325,3 +325,17 @@ def test_metrics_equal_a_row_scan(rows, window):
         for user_set in (None, set(everyone[:2]), {everyone[-1], "ghost"}):
             got = metrics.freshness(trace, server, user_set)
             assert _same(got, ref.freshness(server, user_set)), (server, user_set)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_rows, seed=st.integers(0, 2**32))
+def test_shuffled_columns_give_the_sorted_trace(rows, seed):
+    rows = sorted(rows)
+    shuffled = random.Random(seed).sample(rows, len(rows))
+    ordered = ConnectionTrace.from_columns(*zip(*rows))
+    trace = ConnectionTrace.from_columns(*zip(*shuffled))
+    for name in ("times", "user_codes", "server_codes"):
+        got, want = getattr(trace, name), getattr(ordered, name)
+        assert got.dtype == want.dtype and numpy.array_equal(got, want), name
+    for name in ("user_names", "server_names", "t0", "t_max"):
+        assert getattr(trace, name) == getattr(ordered, name), name
