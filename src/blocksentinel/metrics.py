@@ -51,9 +51,11 @@ def _encode(names) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _in_order(times, user_codes, server_codes) -> bool:
-    """True when no row sorts before the row above it by (time, user, server)."""
+    """True when each row sorts at or after the row above it by (time, user,
+    server).  A NaN time compares false, so it counts as out of order."""
     (t0, t1), (u0, u1), (s0, s1) = ((c[:-1], c[1:]) for c in (times, user_codes, server_codes))
-    return not np.count_nonzero((t1 < t0) | (t1 == t0) & ((u1 < u0) | (u1 == u0) & (s1 < s0)))
+    after = (t1 > t0) | (t1 == t0) & ((u1 > u0) | (u1 == u0) & (s1 >= s0))
+    return np.count_nonzero(after) == after.size
 
 
 def _group_rows(codes, names) -> dict[str, np.ndarray]:
@@ -100,8 +102,7 @@ class ConnectionTrace:
 
     @classmethod
     def from_columns(cls, times, users, servers, t0=None, t_max=None) -> "ConnectionTrace":
-        """Code the rows and sort them unless they already are in order; the
-        window defaults to their observed extent."""
+        """Code the rows, sort them if out of order; the window defaults to their extent."""
         user_names, user_codes = _encode(users)
         server_names, server_codes = _encode(servers)
         times = np.array(times, dtype=np.float64)

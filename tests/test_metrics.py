@@ -339,3 +339,8 @@ def test_shuffled_columns_give_the_sorted_trace(rows, seed):
         assert got.dtype == want.dtype and numpy.array_equal(got, want), name
     for name in ("user_names", "server_names", "t0", "t_max"):
         assert getattr(trace, name) == getattr(ordered, name), name
+
+
+def test_nan_time_still_sorts_last():
+    trace = ConnectionTrace.from_columns([5.0, math.nan, 1.0], ["u0"] * 3, ["s0"] * 3)
+    assert trace.times[:2].tolist() == [1.0, 5.0] and math.isnan(trace.times[2])
