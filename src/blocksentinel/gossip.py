@@ -164,10 +164,10 @@ def _absorb(
 
     The segment is expanded against the local headers from `start` up, so
     only headers the window lacks are built and hashed.  Learned headers
-    are counted from the merge without hashing: below the
-    local tip plus one, or the fork when the remote run was adopted, the
-    merge keeps the local prefix, and every merged header from there on
-    links to a parent the local view lacks, so none equals a local header.
+    are counted from the merge without hashing: below the local tip plus
+    one, or the fork when the remote run was adopted, the merge keeps the
+    local prefix, and every merged header from there on links to a parent
+    the local view lacks, so none equals a local header.
     """
     offset = start - window.start_height
     received = expand(segment, window.headers[offset:] if offset >= 0 else ())

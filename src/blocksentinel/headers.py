@@ -223,10 +223,8 @@ def expand(segment: CompactChainSegment, known=()) -> list[BlockHeader]:
                 version = change.version
             if change.n_bits is not None:
                 n_bits = change.n_bits
-        fields = (
-            version, block_hash(headers[-1]), record.merkle_root, record.timestamp, n_bits,
-            record.nonce,
-        )
+        fields = (version, block_hash(headers[-1]), record.merkle_root, record.timestamp,
+                  n_bits, record.nonce)
         held = held and index < len(known) and _header_fields(known[index]) == fields
         headers.append(known[index] if held else BlockHeader(*fields))
     return headers
