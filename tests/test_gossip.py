@@ -293,6 +293,31 @@ def whole_window_learned(before, after):
     return len(coverage(after) - coverage(before))
 
 
+def reference_merge(window, headers, start, outcome):
+    """Reference merge, one `chainview.append` per received header.
+
+    An adopted run first cuts the window back to the heights below the
+    fork, or to nothing when the run does not link to them.  Then each
+    received header from there up is appended in height order; one that is
+    not at the next height or does not link to the tip is skipped.
+    """
+    result, first = window, start
+    if outcome.result is ChainComparison.REMOTE_STRONGER:
+        fork = outcome.fork_height
+        kept = window.headers[: fork - window.start_height]
+        if kept and headers[fork - start].prev_hash != block_hash(kept[-1]):
+            kept = ()
+        result = chainview.HeaderWindow(window.capacity, fork - len(kept), kept)
+        first = fork
+    for height, header in enumerate(headers[first - start :], first):
+        if not result.is_empty() and (
+            height != result.tip_height() + 1 or header.prev_hash != block_hash(result.tip())
+        ):
+            continue
+        result = chainview.append(result, header, height)
+    return result
+
+
 def absorb_both_ways(window, headers, start):
     """Offer one run to the server and the client side; both must agree."""
     payload, payload_range = segment_of(headers, start)
@@ -301,6 +326,7 @@ def absorb_both_ways(window, headers, start):
     fulfilled = gossip.client_fulfill(window, msg)
     assert not served.payload_rejected and not fulfilled.outcome.remote_invalid
     assert served.window == fulfilled.window
+    assert served.window == reference_merge(window, headers, start, fulfilled.outcome)
     expected = whole_window_learned(window, served.window)
     assert served.headers_accepted == expected
     assert fulfilled.outcome.headers_learned == expected
@@ -316,6 +342,8 @@ def absorb_both_ways(window, headers, start):
         ("honest", (0, 29), 128, 0, "honest", (10, 29), "tie", 0, (0, 29)),
         # Overhang extension past the local tip.
         ("honest", (0, 29), 128, 0, "honest", (20, 39), "tie", 10, (0, 39)),
+        # A run starting two heights above the local tip: nothing merges.
+        ("honest", (0, 29), 128, 0, "honest", (31, 39), "tie", 0, (0, 29)),
         # Adopted fork: the prefix below height 20 is kept.
         ("equal", (0, 31), 128, 0, "honest", (15, 39), "remote_stronger", 20, (0, 39)),
         # The first remote header does not link to the kept prefix: re-anchor.
@@ -341,6 +369,8 @@ def test_headers_learned_matches_whole_window_count(
     assert served.comparison is outcome.result
     assert outcome.headers_learned == learned
     assert served.window.span() == HeaderRange(*span)
+    if learned == 0 and outcome.result is not ChainComparison.REMOTE_STRONGER:
+        assert served.window == window
 
 
 @settings(max_examples=150, deadline=None)
