@@ -251,6 +251,17 @@ def test_daemon_run_seconds_exits_cleanly(tmp_path, capsys):
     assert capsys.readouterr().out == "daemon running\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["daemon", "--once", "--active-sample", "0"], ["check", "--sample", "0"]],
+)
+def test_zero_sample_override_is_rejected(tmp_path, capsys, argv):
+    config = tmp_path / "daemon.json"
+    config.write_text(json.dumps({"servers": []}))
+    assert cli.main(argv + ["--config", str(config)]) == 2
+    assert "daemon settings must be positive" in capsys.readouterr().err
+
+
 def test_check_command(tmp_path, capsys):
     chain = mined_chain(8, random.Random(43))
     handle = service.serve(initial_window=window_of(chain))
