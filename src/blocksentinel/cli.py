@@ -46,7 +46,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("daemon", help="run the client-side daemon")
     p.add_argument("--config", required=True, help="JSON daemon config file")
-    p.add_argument("--active-sample", type=int, default=None, help="override sample size")
+    p.add_argument(
+        "--active-sample", dest="sample", type=int, default=None, help="override sample size"
+    )
     p.add_argument("--tick-seconds", type=float, default=60.0)
     p.add_argument("--run-seconds", type=float, default=None, help="stop after this long")
     p.add_argument("--once", action="store_true", help="one tick and active check, then exit")
@@ -104,9 +106,8 @@ def _split_listen(text: str) -> tuple[str, int]:
 def _daemon_settings(args) -> tuple[service.ClientDaemonConfig, random.Random | None]:
     """Daemon config with the command's sample-size override, plus its rng."""
     config = service.ClientDaemonConfig.from_file(args.config)
-    override = getattr(args, "active_sample", None) or getattr(args, "sample", None)
-    if override is not None:
-        config = replace(config, active_sample_size=override)
+    if args.sample is not None:
+        config = replace(config, active_sample_size=args.sample)
     rng = random.Random(args.seed) if args.seed is not None else None
     return config, rng
 
