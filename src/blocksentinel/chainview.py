@@ -2,7 +2,9 @@
 
 The window is an immutable value: every operation returns a new window.
 Weight comparisons follow the rule that a SMALLER sum of per-header targets
-means more expected work, hence a stronger chain.
+means more expected work, hence a stronger chain.  A received run is
+validated once, by `match_views`; `merge_strongest` takes only what
+`match_views` returned and checks just the seams where it joins the window.
 """
 
 import enum
@@ -99,13 +101,13 @@ def append(window: HeaderWindow, header: BlockHeader, height: int) -> HeaderWind
             raise LinkMismatch(f"header at height {height} does not link to tip")
     if not check_pow(header):
         raise PowInvalid(f"hash above target at height {height}")
-    headers = window.headers + (header,)
-    start = height - len(window.headers) if not window.is_empty() else height
-    if len(headers) > window.capacity:
-        drop = len(headers) - window.capacity
-        headers = headers[drop:]
-        start += drop
-    return HeaderWindow(window.capacity, start, headers)
+    return _fitted(window.capacity, height - len(window.headers), window.headers + (header,))
+
+
+def _fitted(capacity: int, start: int, headers: tuple) -> HeaderWindow:
+    """Window of `headers` from height `start`, oldest evicted past capacity."""
+    drop = max(0, len(headers) - capacity)
+    return HeaderWindow(capacity, start + drop, headers[drop:])
 
 
 def slice_window(window: HeaderWindow, want: HeaderRange) -> list[BlockHeader]:
@@ -178,19 +180,19 @@ class MatchedViews:
     """Comparable slices of a local window and a received header run.
 
     `local` and `remote` cover the same heights starting at `start`;
-    `excluded` holds the received (height, header) pairs outside that
-    range, kept aside for the merge step.
+    `overhang` holds the received headers right above that range, at
+    `start + len(remote)`, kept aside for the merge step.  With nothing
+    comparable, `start` is the height just above the local tip, or the
+    received start for an empty window.
     """
 
-    start: int | None
+    start: int
     local: tuple[BlockHeader, ...]
     remote: tuple[BlockHeader, ...]
-    excluded: tuple[tuple[int, BlockHeader], ...]
+    overhang: tuple[BlockHeader, ...]
 
     def fork_height(self) -> int | None:
         """First comparable height where the two views disagree."""
-        if self.start is None:
-            return None
         for i, (ours, theirs) in enumerate(zip(self.local, self.remote)):
             if ours is not theirs and ours != theirs:
                 return self.start + i
@@ -200,38 +202,34 @@ class MatchedViews:
 def match_views(
     window: HeaderWindow, received, received_start: int
 ) -> MatchedViews:
-    """Split received headers into a comparable slice and an excluded rest.
+    """Split received headers into a comparable slice and an overhang.
 
     The received run must be internally hash-linked with valid proof of
-    work (InvalidRemote otherwise).  Heights shared with the window become
-    the comparable views; anything outside, such as an overhang past the
-    local tip, is excluded from comparison and only considered during the
-    merge that follows the strongest-chain decision.
+    work (InvalidRemote otherwise); this is the only place a received
+    header is validated.  Heights shared with the window become the
+    comparable views, and the received headers right above them become the
+    overhang, which only the merge that follows the strongest-chain
+    decision considers.  Headers no merge could keep, below the window or
+    past a height gap above its tip, are left out.
     """
-    received = list(received)
+    received = tuple(received)
     for i, header in enumerate(received):
         if i > 0 and header.prev_hash != block_hash(received[i - 1]):
             raise InvalidRemote(f"received run breaks at offset {i}")
         if not check_pow(header):
             raise InvalidRemote(f"received header {i} fails proof of work")
-    if not received:
-        return MatchedViews(None, (), (), ())
-    received_span = HeaderRange(received_start, received_start + len(received) - 1)
-    overlap = received_span.intersect(window.span())
-    if overlap is None:
-        excluded = tuple(
-            (received_start + i, header) for i, header in enumerate(received)
-        )
-        return MatchedViews(None, (), (), excluded)
-    local = tuple(slice_window(window, overlap))
-    lo = overlap.beg - received_start
-    remote = tuple(received[lo : lo + overlap.size()])
-    excluded = tuple(
-        (received_start + i, header)
-        for i, header in enumerate(received)
-        if not overlap.contains(received_start + i)
+    beg = window.start_height if window.headers else received_start
+    after = beg + len(window.headers)
+    lo = max(beg, received_start)
+    hi = min(after, received_start + len(received))
+    if lo > hi or (lo == hi and received_start != after):
+        return MatchedViews(after, (), (), ())
+    return MatchedViews(
+        lo,
+        window.headers[lo - beg : hi - beg],
+        received[lo - received_start : hi - received_start],
+        received[hi - received_start :],
     )
-    return MatchedViews(overlap.beg, local, remote, excluded)
 
 
 def merge_strongest(
@@ -239,42 +237,27 @@ def merge_strongest(
 ) -> HeaderWindow:
     """Fold an exchange's result back into the window.
 
-    When `adopt_remote` is set the local suffix from the first divergent
-    height on is replaced by the remote headers.  Excluded headers are then
-    appended in height order when they validly extend the new tip; ones
-    that do not fit are dropped silently.  The operation is idempotent.
+    `matched` must come from `match_views` on this window, which validated
+    every received header, so only the two seams are checked here.  When
+    `adopt_remote` is set the local suffix from the first divergent height
+    on is replaced by the remote headers; if the first of them does not
+    link to the kept prefix, the divergence sits deeper than the received
+    range and the window re-anchors on the remote run.  The overhang is
+    then appended when it sits at the next height and links to the new
+    tip; otherwise it is dropped silently.  The operation is idempotent.
     """
-    result = window
+    start, headers = window.start_height, window.headers
     fork = matched.fork_height()
     if adopt_remote and fork is not None:
-        keep = fork - result.start_height
-        kept = result.headers[:keep] if keep > 0 else ()
+        kept = headers[: fork - start]
         adopted = matched.remote[fork - matched.start :]
         if kept and adopted[0].prev_hash != block_hash(kept[-1]):
-            # Remote disagrees already at its first known height, so the
-            # divergence sits deeper than the received range and nothing
-            # below it can be trusted to connect.  Re-anchor on the remote.
             kept = ()
-        if not kept:
-            result = HeaderWindow(result.capacity, fork, ())
-            for offset, header in enumerate(adopted):
-                result = append(result, header, fork + offset)
-        else:
-            start = result.start_height
-            headers = kept + tuple(adopted)
-            if len(headers) > result.capacity:
-                drop = len(headers) - result.capacity
-                headers = headers[drop:]
-                start += drop
-            result = HeaderWindow(result.capacity, start, headers)
-    for height, header in sorted(matched.excluded):
-        if result.is_empty():
-            result = append(result, header, height)
-            continue
-        if height != result.tip_height() + 1:
-            continue
-        try:
-            result = append(result, header, height)
-        except (LinkMismatch, PowInvalid):
-            continue
-    return result
+        start, headers = fork - len(kept), kept + adopted
+    at, overhang = matched.start + len(matched.remote), matched.overhang
+    if overhang and (
+        not headers
+        or (at == start + len(headers) and overhang[0].prev_hash == block_hash(headers[-1]))
+    ):
+        start, headers = at - len(headers), headers + overhang
+    return _fitted(window.capacity, start, headers)

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass, replace
 
 from . import chainview
-from .chainview import ChainComparison, HeaderRange, HeaderWindow, MatchedViews
+from .chainview import ChainComparison, HeaderRange, HeaderWindow
 from .errors import (
     InvalidRemote,
     MalformedBody,
@@ -129,56 +129,38 @@ def client_initiate(window: HeaderWindow, config: GossipConfig = DEFAULT_CONFIG)
     )
 
 
-@dataclass(frozen=True)
-class AbsorbResult:
-    window: HeaderWindow
-    comparison: ChainComparison
-    fork_height: int | None
-    headers_learned: int
-
-
-def _overhang_extends_remote(matched: MatchedViews) -> bool:
-    """True when the received run continues past the comparable range.
-
-    The received run is contiguous and hash-linked, so an excluded header
-    at the height right above the range is a valid continuation of the
-    remote view.
-    """
-    if matched.start is None:
-        return False
-    after = matched.start + len(matched.remote)
-    return any(height == after for height, _ in matched.excluded)
-
-
-def _absorb(
-    window: HeaderWindow, segment: CompactChainSegment, start: int
-) -> AbsorbResult:
-    """Validate a received segment and merge it into the local window.
+def _absorb(window: HeaderWindow, msg: GossipMessage) -> tuple[HeaderWindow, ExchangeOutcome]:
+    """Validate a message's payload, if any, and merge it into the window.
 
     The local view fills the client slot of the strongest-chain rule, so
     REMOTE_STRONGER means the remote run won and was adopted.  A tie over
     the comparable range breaks toward the remote when the two views
     disagree and the received run keeps going past the local tip: a tied
-    range plus a valid continuation is the stronger chain.  Raises
-    InvalidRemote when the expanded run fails validation.
+    range plus a valid continuation is the stronger chain.  Adopting a run
+    that forks below the local tip flags a suspected eclipse, meaning
+    someone has been feeding this side a weaker chain.  The window comes
+    back unchanged when there is no payload or when it fails validation,
+    which `remote_invalid` reports.
 
-    The segment is expanded against the local headers from `start` up, so
-    only headers the window lacks are built and hashed.  Learned headers
+    The segment is expanded against the local headers from its start up,
+    so only headers the window lacks are built and hashed.  Learned headers
     are counted from the merge without hashing: below the local tip plus
     one, or the fork when the remote run was adopted, the merge keeps the
     local prefix, and every merged header from there on links to a parent
     the local view lacks, so none equals a local header.
     """
+    if msg.payload is None:
+        return window, ExchangeOutcome(ChainComparison.TIE, None, 0, False)
+    start = msg.payload_range.beg
     offset = start - window.start_height
-    received = expand(segment, window.headers[offset:] if offset >= 0 else ())
-    matched = chainview.match_views(window, received, start)
+    received = expand(msg.payload, window.headers[offset:] if offset >= 0 else ())
+    try:
+        matched = chainview.match_views(window, received, start)
+    except InvalidRemote:
+        return window, ExchangeOutcome(ChainComparison.TIE, None, 0, False, remote_invalid=True)
     fork = matched.fork_height()
     comparison = chainview.find_strongest_chain(matched.local, matched.remote)
-    if (
-        comparison is ChainComparison.TIE
-        and fork is not None
-        and _overhang_extends_remote(matched)
-    ):
+    if comparison is ChainComparison.TIE and fork is not None and matched.overhang:
         comparison = ChainComparison.REMOTE_STRONGER
     adopted = comparison is ChainComparison.REMOTE_STRONGER
     merged = chainview.merge_strongest(window, matched, adopt_remote=adopted)
@@ -187,24 +169,7 @@ def _absorb(
     else:
         first = fork if adopted else window.tip_height() + 1
         learned = max(0, merged.tip_height() - max(first, merged.start_height) + 1)
-    return AbsorbResult(merged, comparison, fork, learned)
-
-
-def _take_payload(
-    window: HeaderWindow, msg: GossipMessage
-) -> tuple[HeaderWindow, AbsorbResult | None, bool]:
-    """Absorb a message's payload, if any: (window, absorbed, rejected).
-
-    The window comes back unchanged when there is no payload or when it
-    fails validation, which `rejected` reports.
-    """
-    if msg.payload is None:
-        return window, None, False
-    try:
-        absorbed = _absorb(window, msg.payload, msg.payload_range.beg)
-    except InvalidRemote:
-        return window, None, True
-    return absorbed.window, absorbed, False
+    return merged, ExchangeOutcome(comparison, fork, learned, adopted and fork is not None)
 
 
 def _armored_size(raw_bytes: int) -> int:
@@ -254,7 +219,7 @@ def server_respond(
     the requested slice and the server's own request for whatever the
     client advertised beyond the server's view.
     """
-    new_window, absorbed, rejected = _take_payload(window, msg)
+    new_window, outcome = _absorb(window, msg)
     requested = None
     if msg.advertised is not None:
         if new_window.is_empty():
@@ -263,11 +228,9 @@ def server_respond(
             requested = HeaderRange(new_window.tip_height() + 1, msg.advertised.end)
     payload, payload_range = _fit_payload(new_window, msg.requested, config)
     reply = GossipMessage(new_window.span(), requested, payload, payload_range)
-    if absorbed is None:
-        return ServerExchange(reply, new_window, 0, rejected, None)
-    return ServerExchange(
-        reply, new_window, absorbed.headers_learned, rejected, absorbed.comparison
-    )
+    rejected = outcome.remote_invalid
+    comparison = None if msg.payload is None or rejected else outcome.result
+    return ServerExchange(reply, new_window, outcome.headers_learned, rejected, comparison)
 
 
 @dataclass(frozen=True)
@@ -283,22 +246,9 @@ def client_fulfill(
     """Absorb the server's reply and prepare the headers it asked for.
 
     The outcome flags a suspected eclipse exactly when the remote view won
-    the comparison with a fork below the local tip, meaning someone has
-    been feeding this client a weaker chain.
+    the comparison with a fork below the local tip.
     """
-    new_window, absorbed, remote_invalid = _take_payload(window, reply)
-    if absorbed is None:
-        outcome = ExchangeOutcome(ChainComparison.TIE, None, 0, False, remote_invalid)
-    else:
-        outcome = ExchangeOutcome(
-            result=absorbed.comparison,
-            fork_height=absorbed.fork_height,
-            headers_learned=absorbed.headers_learned,
-            eclipse_suspected=(
-                absorbed.comparison is ChainComparison.REMOTE_STRONGER
-                and absorbed.fork_height is not None
-            ),
-        )
+    new_window, outcome = _absorb(window, reply)
     follow_up = None
     payload, payload_range = _fit_payload(new_window, reply.requested, config)
     if payload is not None:

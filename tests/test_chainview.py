@@ -147,7 +147,7 @@ def test_match_views_splits_overlap_and_overhang(chain):
     assert matched.start == 6
     assert list(matched.local) == chain[6:10]
     assert list(matched.remote) == chain[6:10]
-    assert matched.excluded == tuple((h, chain[h]) for h in range(10, 14))
+    assert matched.overhang == tuple(chain[10:14])
     assert matched.fork_height() is None
 
 
@@ -156,16 +156,21 @@ def test_match_views_excludes_below_window(chain):
     matched = chainview.match_views(window, chain[2:8], 2)
     assert matched.start == 5
     assert list(matched.remote) == chain[5:8]
-    assert matched.excluded == tuple((h, chain[h]) for h in range(2, 5))
+    assert matched.overhang == ()
 
 
 def test_match_views_disjoint_is_all_excluded(chain):
     window = window_of(chain[:3])
     matched = chainview.match_views(window, chain[10:13], 10)
-    assert matched.start is None
+    assert matched.start == 3
     assert matched.local == () and matched.remote == ()
-    assert len(matched.excluded) == 3
-    assert chainview.match_views(window, [], 0) == chainview.MatchedViews(None, (), (), ())
+    assert matched.overhang == ()
+    assert chainview.match_views(window, chain[3:6], 3).overhang == tuple(chain[3:6])
+    assert chainview.match_views(window, [], 0) == chainview.MatchedViews(3, (), (), ())
+    empty = chainview.HeaderWindow()
+    assert chainview.match_views(empty, chain[4:6], 4) == chainview.MatchedViews(
+        4, (), (), tuple(chain[4:6])
+    )
 
 
 def test_match_views_rejects_broken_or_powless_runs(chain):
@@ -201,7 +206,7 @@ def test_merge_tie_appends_linking_extension(chain):
 def test_merge_drops_non_linking_excluded(chain):
     window = window_of(chain[:10])
     stray = mine_suffix(chain[20], 2, random.Random(503))
-    matched = chainview.MatchedViews(None, (), (), ((30, stray[0]), (31, stray[1])))
+    matched = chainview.MatchedViews(10, (), (), tuple(stray))
     merged = chainview.merge_strongest(window, matched, adopt_remote=False)
     assert merged == window
 
