@@ -191,10 +191,10 @@ def _fit_payload(
     beg = overlap.beg
     while headers:
         segment = compress(headers)
-        if _armored_size(len(serialize_segment(segment))) <= config.header_budget:
+        surplus = _armored_size(len(serialize_segment(segment))) - config.header_budget
+        if surplus <= 0:
             return segment, HeaderRange(beg, beg + len(headers) - 1)
         # Over budget: drop the oldest surplus, keeping the newest heights.
-        surplus = _armored_size(len(serialize_segment(segment))) - config.header_budget
         drop = max(1, (3 * surplus // 4) // 40)
         headers = headers[drop:]
         beg += drop
