@@ -5,6 +5,9 @@ import json
 import math
 import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +200,15 @@ def test_pinned_event_log_digest(config, witness, expected):
     assert witness(result.events)
     digest = hashlib.sha256(sim.events_jsonl(result.events).encode()).hexdigest()
     assert digest == expected
+
+
+def test_digest_tool_passes_on_a_recorded_sim_day_scenario():
+    # The sim_day digests in bench/baseline.json are otherwise checked only
+    # by the benchmark; one scenario takes about a second.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "check_sim_digests.py"
+    out = subprocess.run([sys.executable, str(tool), "0"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "0 mismatches over 1 scenarios" in out.stdout
 
 
 def test_run_scenario_events_are_time_ordered():
