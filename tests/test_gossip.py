@@ -342,8 +342,6 @@ def absorb_both_ways(window, headers, start):
         ("honest", (0, 29), 128, 0, "honest", (10, 29), "tie", 0, (0, 29)),
         # Overhang extension past the local tip.
         ("honest", (0, 29), 128, 0, "honest", (20, 39), "tie", 10, (0, 39)),
-        # A run starting two heights above the local tip: nothing merges.
-        ("honest", (0, 29), 128, 0, "honest", (31, 39), "tie", 0, (0, 29)),
         # Adopted fork: the prefix below height 20 is kept.
         ("equal", (0, 31), 128, 0, "honest", (15, 39), "remote_stronger", 20, (0, 39)),
         # The first remote header does not link to the kept prefix: re-anchor.
@@ -353,6 +351,8 @@ def absorb_both_ways(window, headers, start):
         # Eviction past capacity.
         ("honest", (0, 15), 16, 0, "honest", (10, 29), "tie", 14, (14, 29)),
         ("strong", (0, 25), 128, 0, "honest", (15, 39), "local_stronger", 0, (0, 25)),
+        # A run starting two heights above the local tip: nothing merges.
+        ("honest", (0, 29), 128, 0, "honest", (31, 39), "tie", 0, (0, 29)),
     ],
 )
 def test_headers_learned_matches_whole_window_count(
