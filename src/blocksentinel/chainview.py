@@ -222,6 +222,7 @@ def match_views(
     after = beg + len(window.headers)
     lo = max(beg, received_start)
     hi = min(after, received_start + len(received))
+    # Nothing shared, and the run does not start at the next height.
     if lo > hi or (lo == hi and received_start != after):
         return MatchedViews(after, (), (), ())
     return MatchedViews(
