@@ -2,9 +2,10 @@
 
 The window is an immutable value: every operation returns a new window.
 Weight comparisons follow the rule that a SMALLER sum of per-header targets
-means more expected work, hence a stronger chain.  A received run is
-validated once, by `match_views`; `merge_strongest` takes only what
-`match_views` returned and checks just the seams where it joins the window.
+means more expected work, hence a stronger chain.  Every header enters a
+window through `validate_run`: `append` for one local header, `match_views`
+for a received run.  `merge_strongest` takes only what `match_views`
+returned and checks just the seams where it joins the window.
 """
 
 import enum
@@ -88,19 +89,30 @@ class HeaderWindow:
         return self.headers[height - self.start_height]
 
 
+def validate_run(headers, height: int, below: BlockHeader | None = None) -> None:
+    """Check a run of headers, the first at `height`, before it enters a window.
+
+    Each header must link to the one before it, the first to `below` when
+    given, and meet its own proof-of-work target.  Raises LinkMismatch or
+    PowInvalid naming the height.
+    """
+    for i, header in enumerate(headers):
+        if below is not None and header.prev_hash != block_hash(below):
+            raise LinkMismatch(f"height {height + i} does not link to height {height + i - 1}")
+        if not check_pow(header):
+            raise PowInvalid(f"hash above target at height {height + i}")
+        below = header
+
+
 def append(window: HeaderWindow, header: BlockHeader, height: int) -> HeaderWindow:
     """Validate and append one header, evicting the oldest when full.
 
     An empty window accepts any valid-PoW header as its anchor.  Raises
     HeightGap, LinkMismatch, or PowInvalid.
     """
-    if not window.is_empty():
-        if height != window.tip_height() + 1:
-            raise HeightGap(f"expected height {window.tip_height() + 1}, got {height}")
-        if header.prev_hash != block_hash(window.tip()):
-            raise LinkMismatch(f"header at height {height} does not link to tip")
-    if not check_pow(header):
-        raise PowInvalid(f"hash above target at height {height}")
+    if window.headers and height != window.tip_height() + 1:
+        raise HeightGap(f"expected height {window.tip_height() + 1}, got {height}")
+    validate_run((header,), height, window.headers[-1] if window.headers else None)
     return _fitted(window.capacity, height - len(window.headers), window.headers + (header,))
 
 
@@ -128,15 +140,6 @@ def headers_above(pre: HeaderWindow, post: HeaderWindow) -> list[BlockHeader]:
     if pre.is_empty() or post.is_empty() or post.tip_height() <= pre.tip_height():
         return []
     return slice_window(post, HeaderRange(pre.tip_height() + 1, post.tip_height()))
-
-
-def audit(window: HeaderWindow) -> None:
-    """Re-validate the whole window; raises on the first broken invariant."""
-    for i, header in enumerate(window.headers):
-        if not check_pow(header):
-            raise PowInvalid(f"height {window.start_height + i}")
-        if i > 0 and header.prev_hash != block_hash(window.headers[i - 1]):
-            raise LinkMismatch(f"height {window.start_height + i}")
 
 
 def weight(view) -> int:
@@ -205,20 +208,27 @@ def match_views(
     """Split received headers into a comparable slice and an overhang.
 
     The received run must be internally hash-linked with valid proof of
-    work (InvalidRemote otherwise); this is the only place a received
-    header is validated.  Heights shared with the window become the
-    comparable views, and the received headers right above them become the
-    overhang, which only the merge that follows the strongest-chain
-    decision considers.  Headers no merge could keep, below the window or
-    past a height gap above its tip, are left out.
+    work (InvalidRemote otherwise).  A leading run of the very objects the
+    window holds at those heights was validated on entry, so checks start
+    at the first header that is not, with its link to the one before it.
+    Heights shared with the window become the comparable views, and the
+    received headers right above them become the overhang, which only the
+    merge that follows the strongest-chain decision considers.  Headers no
+    merge could keep, below the window or past a height gap above its tip,
+    are left out.
     """
     received = tuple(received)
-    for i, header in enumerate(received):
-        if i > 0 and header.prev_hash != block_hash(received[i - 1]):
-            raise InvalidRemote(f"received run breaks at offset {i}")
-        if not check_pow(header):
-            raise InvalidRemote(f"received header {i} fails proof of work")
     beg = window.start_height if window.headers else received_start
+    held = window.headers[received_start - beg :] if received_start >= beg else ()
+    skip = 0
+    # Identity, not equality: comparing headers would hash them.
+    while skip < min(len(held), len(received)) and received[skip] is held[skip]:
+        skip += 1
+    below = received[skip - 1] if skip else None
+    try:
+        validate_run(received[skip:], received_start + skip, below)
+    except (LinkMismatch, PowInvalid) as err:
+        raise InvalidRemote(f"received run: {err}") from err
     after = beg + len(window.headers)
     lo = max(beg, received_start)
     hi = min(after, received_start + len(received))

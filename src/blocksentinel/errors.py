@@ -78,10 +78,6 @@ class UnknownServer(SentinelError):
     """Server id does not occur in the trace."""
 
 
-class InsufficientTier(SentinelError):
-    """A tier holds fewer servers than the requested sample size."""
-
-
 # -- configuration ----------------------------------------------------------------
 
 class ConfigInvalid(SentinelError):

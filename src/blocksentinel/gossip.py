@@ -17,6 +17,7 @@ transport.
 """
 
 import base64
+import enum
 import functools
 import struct
 from dataclasses import dataclass, replace
@@ -49,21 +50,9 @@ FIELD_DATA = "X-Gossip-Data"
 BODY_MAGIC = b"GOSHDR01"
 
 
-class RequestAll:
-    """Sentinel: ask for everything the peer holds."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "REQUEST_ALL"
-
-
-REQUEST_ALL = RequestAll()
+# Sentinel request: everything the peer holds.
+RequestAll = enum.Enum("RequestAll", "ALL")
+REQUEST_ALL = RequestAll.ALL
 
 
 @dataclass(frozen=True)
@@ -325,11 +314,15 @@ def encode_header_fields(
     return fields
 
 
-def decode_header_fields(fields) -> GossipMessage | None:
+def decode_header_fields(
+    fields, budget: int = DEFAULT_HEADER_BUDGET
+) -> GossipMessage | None:
     """Decode `X-Gossip-*` fields; None when the peer speaks no gossip.
 
     Accepts any (name, value) iterable or mapping; names are matched
-    case-insensitively.  Raises MalformedFields or MalformedSegment.
+    case-insensitively.  Raises TooLarge as soon as the armored payload
+    chunks exceed `budget` bytes, before any of them is decoded, and
+    MalformedFields or MalformedSegment.
     """
     if hasattr(fields, "items"):
         fields = fields.items()
@@ -352,13 +345,12 @@ def decode_header_fields(fields) -> GossipMessage | None:
         if payload_range is None:
             raise MalformedFields("payload range cannot be 'none'")
         chunks = []
-        index = 1
-        while True:
-            chunk = table.get(f"{FIELD_DATA.lower()}-{index}")
-            if chunk is None:
-                break
+        size = 0
+        while (chunk := table.get(f"{FIELD_DATA.lower()}-{len(chunks) + 1}")) is not None:
             chunks.append(chunk.strip())
-            index += 1
+            size += len(chunks[-1])
+            if size > budget:
+                raise TooLarge(f"armored payload passes {size} bytes, budget {budget}")
         if not chunks:
             raise MalformedFields("payload range without payload data")
         try:
@@ -457,37 +449,7 @@ def decode_body(body: bytes) -> GossipMessage:
         raise MalformedBody(str(err)) from err
 
 
-# -- server directory and active polling ---------------------------------------
-
-
-@dataclass(frozen=True)
-class ServerDirectory:
-    """Addresses that have answered with well-formed gossip fields."""
-
-    entries: tuple[tuple[str, float], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, address: str) -> bool:
-        return any(addr == address for addr, _ in self.entries)
-
-    def addresses(self) -> list[str]:
-        return [addr for addr, _ in self.entries]
-
-    def last_confirmed(self, address: str) -> float | None:
-        for addr, confirmed in self.entries:
-            if addr == address:
-                return confirmed
-        return None
-
-
-def record_protocol_server(
-    directory: ServerDirectory, address: str, confirmed_at: float
-) -> ServerDirectory:
-    """Insert or refresh one address, keeping the directory sorted."""
-    kept = tuple(entry for entry in directory.entries if entry[0] != address)
-    return ServerDirectory(tuple(sorted(kept + ((address, confirmed_at),))))
+# -- active polling ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -500,19 +462,20 @@ class PollReport:
 
 
 def active_poll(
-    directory: ServerDirectory,
+    addresses,
     window: HeaderWindow,
     sample_size: int,
     rng,
     send,
     config: GossipConfig = DEFAULT_CONFIG,
 ) -> tuple[PollReport, HeaderWindow]:
-    """Run full exchanges against a uniform sample of known servers.
+    """Run full exchanges against a uniform sample of known server addresses.
 
-    `send(address, message) -> reply message` supplies the transport; a
-    transport failure is recorded per server and never aborts the poll.
+    A seeded `rng` samples the sorted addresses, whatever order they come
+    in.  `send(address, message) -> reply message` supplies the transport;
+    a transport failure is recorded per server and never aborts the poll.
     """
-    population = directory.addresses()
+    population = sorted(addresses)
     sample = rng.sample(population, min(sample_size, len(population)))
     outcomes = []
     failures = []

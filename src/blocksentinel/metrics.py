@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import stdtrit
 
-from .errors import EmptyTrace, InsufficientTier, UnknownServer, UnknownUser
+from .errors import EmptyTrace, UnknownServer, UnknownUser
 
 INACTIVITY_CUT_HOURS = 8.0
 
@@ -295,22 +295,3 @@ def assign_tiers(trace: ConnectionTrace) -> dict[str, int]:
     if not trace.times.size:
         raise EmptyTrace("cannot tier an empty trace")
     return {server: tier_of(count) for server, count in unique_user_counts(trace).items()}
-
-
-def stratified_sample(tiers: dict[str, int], per_tier_counts, rng) -> set[str]:
-    """Draw the requested number of servers uniformly from each tier.
-
-    `per_tier_counts[i]` is the draw for tier i + 1.  Raises
-    InsufficientTier when a tier holds fewer servers than requested.
-    """
-    chosen: set[str] = set()
-    for index, want in enumerate(per_tier_counts):
-        tier = index + 1
-        members = sorted(server for server, t in tiers.items() if t == tier)
-        if want > len(members):
-            raise InsufficientTier(
-                f"tier {tier} holds {len(members)} servers, requested {want}"
-            )
-        if want > 0:
-            chosen.update(rng.sample(members, want))
-    return chosen

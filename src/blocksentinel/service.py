@@ -120,7 +120,9 @@ class GossipMiddleware:
             return [body]
         extra: list[tuple[str, str]] = []
         try:
-            msg = gossip.decode_header_fields(_gossip_request_fields(environ))
+            msg = gossip.decode_header_fields(
+                _gossip_request_fields(environ), self.config.header_budget
+            )
             if msg is not None:
                 reply = self.state.exchange(msg, self.config)
                 extra = gossip.encode_header_fields(reply, self.config.header_budget)
@@ -202,7 +204,7 @@ def http_send(
         conn.request("GET", path, headers=dict(gossip.encode_header_fields(msg, budget)))
         response = conn.getresponse()
         response.read()
-        reply = gossip.decode_header_fields(response.getheaders())
+        reply = gossip.decode_header_fields(response.getheaders(), budget)
     finally:
         conn.close()
     if reply is None:
@@ -287,9 +289,8 @@ class ClientDaemon:
             capacity=config.window_capacity, start_height=config.anchor_height
         )
         self.alert_state = alerts.AlertState(confirmations=config.confirmations)
-        self.directory = gossip.ServerDirectory()
-        for address in config.servers:
-            self.directory = gossip.record_protocol_server(self.directory, address, 0.0)
+        # Address -> last time it answered with well-formed gossip fields.
+        self.directory: dict[str, float] = dict.fromkeys(config.servers, 0.0)
         self.alert_log: list[DaemonAlert] = []
         self.last_view_update: float = clock()
         self._gossip_cfg = gossip.GossipConfig(header_budget=config.transport_budget_bytes)
@@ -316,7 +317,7 @@ class ClientDaemon:
             msg = fields
         else:
             try:
-                msg = gossip.decode_header_fields(fields)
+                msg = gossip.decode_header_fields(fields, self._gossip_cfg.header_budget)
             except SentinelError:
                 return None
         if msg is None:
@@ -326,7 +327,7 @@ class ClientDaemon:
             pre = self.window
             exchange = gossip.client_fulfill(self.window, msg, self._gossip_cfg)
             self.window = exchange.window
-            self.directory = gossip.record_protocol_server(self.directory, address, now)
+            self.directory[address] = now
             if exchange.follow_up is not None:
                 self._pending[address] = exchange.follow_up
             self._digest_view_change(pre, [(address, exchange.outcome)], now)

@@ -39,6 +39,11 @@ def window_of(headers, start_height=0, capacity=128):
     return window
 
 
+def audit(window):
+    """Re-validate the whole window; raises on the first broken invariant."""
+    chainview.validate_run(window.headers, window.start_height)
+
+
 def random_nbits(rng):
     """A compact difficulty word that expands to a valid target."""
     exponent = rng.randint(3, 32)

@@ -1,6 +1,7 @@
 """Window maintenance and strongest-chain comparison tests."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from blocksentinel.errors import (
     RangeMismatch,
 )
 from blocksentinel.headers import BlockHeader, EASY_NBITS, block_hash, target_from_nbits
-from support import linked_headers, mine_suffix, mined_chain, random_nbits, window_of
+from support import audit, linked_headers, mine_suffix, mined_chain, random_nbits, window_of
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +86,10 @@ def test_headers_above_old_tip(chain):
 
 def test_audit_catches_tampering(chain):
     good = window_of(chain[:5])
-    chainview.audit(good)
+    audit(good)
     broken = chainview.HeaderWindow(128, 0, (chain[0], chain[2], chain[3]))
     with pytest.raises(LinkMismatch):
-        chainview.audit(broken)
+        audit(broken)
 
 
 def test_header_range_operations():
@@ -180,6 +181,24 @@ def test_match_views_rejects_broken_or_powless_runs(chain):
     fake = BlockHeader(1, block_hash(chain[3]), bytes(32), 0, 0x03000001, 0)
     with pytest.raises(InvalidRemote):
         chainview.match_views(window, [chain[3], fake], 3)
+    # Held objects out of order: only a prefix in place may skip its checks.
+    wide = window_of(chain[:20])
+    with pytest.raises(InvalidRemote):
+        chainview.match_views(wide, [wide.get(10), wide.get(12), wide.get(11)], 10)
+
+
+@pytest.mark.parametrize("held", [0, 5, 8])
+def test_match_views_checks_pow_only_past_held_prefix(chain, monkeypatch, held):
+    window = window_of(chain[:10])
+    # Heights 2-13: the window's own objects first, then equal copies and
+    # headers above the tip, none of which the window holds.
+    run = list(window.headers[2 : 2 + held]) + [replace(h) for h in chain[2 + held : 14]]
+    checked = []
+    real = chainview.check_pow
+    monkeypatch.setattr(chainview, "check_pow", lambda h: checked.append(h) or real(h))
+    matched = chainview.match_views(window, run, 2)
+    assert len(checked) == len(run) - held
+    assert matched.overhang == tuple(run[8:])
 
 
 def test_fork_height_finds_first_disagreement(chain):
@@ -200,7 +219,7 @@ def test_merge_tie_appends_linking_extension(chain):
     merged = chainview.merge_strongest(window, matched, adopt_remote=False)
     assert merged.tip_height() == 12
     assert merged.tip() == chain[12]
-    chainview.audit(merged)
+    audit(merged)
 
 
 def test_merge_drops_non_linking_excluded(chain):
@@ -223,7 +242,7 @@ def test_merge_adopts_remote_suffix_from_fork(chain):
     merged = chainview.merge_strongest(window, matched, adopt_remote=True)
     assert merged.tip() == rival[-1]
     assert merged.headers[:8] == tuple(chain[:8])
-    chainview.audit(merged)
+    audit(merged)
     again = chainview.merge_strongest(merged, chainview.match_views(merged, received, 7), True)
     assert again == merged
 
@@ -239,7 +258,7 @@ def test_merge_reanchors_when_divergence_is_deeper_than_received(chain):
     merged = chainview.merge_strongest(window, matched, adopt_remote=True)
     assert merged.start_height == 5
     assert tuple(merged.headers) == tuple(received)
-    chainview.audit(merged)
+    audit(merged)
 
 
 def test_merge_respects_capacity(chain):

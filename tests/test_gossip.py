@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 
 from blocksentinel import chainview, gossip
 from blocksentinel.errors import MalformedBody, MalformedFields, TooLarge
-from blocksentinel.gossip import (
-    GossipConfig,
-    GossipMessage,
-    REQUEST_ALL,
-    ServerDirectory,
-)
+from blocksentinel.gossip import GossipConfig, GossipMessage, REQUEST_ALL
 from blocksentinel.chainview import ChainComparison, HeaderRange
 from blocksentinel.headers import (
     BlockHeader,
@@ -26,7 +21,14 @@ from blocksentinel.headers import (
     compress,
     expand,
 )
-from support import eclipse_fixture, linked_headers, mine_suffix, mined_chain, window_of
+from support import (
+    audit,
+    eclipse_fixture,
+    linked_headers,
+    mine_suffix,
+    mined_chain,
+    window_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +234,7 @@ def test_hostile_run_behind_held_prefix_is_rejected(chain, build):
     assert fulfilled.outcome.remote_invalid
     for after in (served.window, fulfilled.window):
         assert after == window
-        chainview.audit(after)
+        audit(after)
 
 
 def test_follow_up_covers_only_requested_overhang(chain):
@@ -450,6 +452,24 @@ def test_budget_enforced(chain):
         gossip.encode_header_fields(msg, budget=512)
 
 
+def test_decode_budget_bounds_armored_payload(chain):
+    payload, payload_range = segment_of(chain, 0)
+    msg = GossipMessage(HeaderRange(0, 59), None, payload, payload_range)
+    fields = gossip.encode_header_fields(msg)
+    armored = sum(len(v) for n, v in fields if n.startswith(gossip.FIELD_DATA))
+    assert gossip.decode_header_fields(fields, budget=armored) == msg
+    with pytest.raises(TooLarge):
+        gossip.decode_header_fields(fields, budget=armored - 1)
+    # The size check comes before any decoding: junk over budget is TooLarge.
+    junk = [
+        (gossip.FIELD_ADV, "0-9"),
+        (gossip.FIELD_RANGE, "0-0"),
+        (f"{gossip.FIELD_DATA}-1", "!" * 257),
+    ]
+    with pytest.raises(TooLarge):
+        gossip.decode_header_fields(junk, budget=256)
+
+
 def test_decode_returns_none_without_advertisement():
     assert gossip.decode_header_fields([("Content-Type", "text/plain")]) is None
     assert gossip.decode_header_fields([]) is None
@@ -540,25 +560,11 @@ def test_codec_fuzz_roundtrip(seed, count, start):
     assert gossip.decode_body(gossip.encode_body(msg)) == msg
 
 
-# -- directory and polling -------------------------------------------------------
-
-
-def test_directory_records_and_dedups():
-    directory = ServerDirectory()
-    directory = gossip.record_protocol_server(directory, "b.example:8333", 10.0)
-    directory = gossip.record_protocol_server(directory, "a.example:8333", 5.0)
-    directory = gossip.record_protocol_server(directory, "b.example:8333", 20.0)
-    assert directory.addresses() == ["a.example:8333", "b.example:8333"]
-    assert directory.last_confirmed("b.example:8333") == 20.0
-    assert directory.last_confirmed("missing:1") is None
-    assert "a.example:8333" in directory
-    assert len(directory) == 2
+# -- active polling --------------------------------------------------------------
 
 
 def test_active_poll_samples_and_aggregates(chain):
-    directory = ServerDirectory()
-    for i in range(10):
-        directory = gossip.record_protocol_server(directory, f"s{i}:1", float(i))
+    addresses = [f"s{i}:1" for i in range(10)]
     server_windows = {f"s{i}:1": window_of(chain[: 30 + i]) for i in range(10)}
     contacted = []
 
@@ -569,7 +575,7 @@ def test_active_poll_samples_and_aggregates(chain):
         return served.reply
 
     report, window = gossip.active_poll(
-        directory, window_of(chain[:20]), 3, random.Random(9), send
+        addresses, window_of(chain[:20]), 3, random.Random(9), send
     )
     assert len(set(contacted)) == 3
     assert len(report.outcomes) == 3
@@ -579,7 +585,6 @@ def test_active_poll_samples_and_aggregates(chain):
 
 
 def test_active_poll_caps_sample_at_population():
-    directory = gossip.record_protocol_server(ServerDirectory(), "only:1", 0.0)
     chain = mined_chain(5, random.Random(806))
     served_window = window_of(chain)
 
@@ -587,20 +592,19 @@ def test_active_poll_caps_sample_at_population():
         return gossip.server_respond(served_window, msg).reply
 
     report, window = gossip.active_poll(
-        directory, chainview.HeaderWindow(), 8, random.Random(9), send
+        ["only:1"], chainview.HeaderWindow(), 8, random.Random(9), send
     )
     assert len(report.outcomes) == 1
     assert window.tip_height() == 4
 
 
 def test_active_poll_captures_failures(chain):
-    directory = gossip.record_protocol_server(ServerDirectory(), "down:1", 0.0)
 
     def send(address, msg):
         raise OSError("connection refused")
 
     report, window = gossip.active_poll(
-        directory, window_of(chain[:20]), 3, random.Random(9), send
+        ["down:1"], window_of(chain[:20]), 3, random.Random(9), send
     )
     assert report.outcomes == ()
     assert len(report.failures) == 1
@@ -610,7 +614,6 @@ def test_active_poll_captures_failures(chain):
 
 
 def test_active_poll_keeps_first_leg_when_follow_up_fails(chain):
-    directory = gossip.record_protocol_server(ServerDirectory(), "flaky:1", 0.0)
     server_window = window_of(chain[:25])
     legs = []
 
@@ -623,7 +626,7 @@ def test_active_poll_keeps_first_leg_when_follow_up_fails(chain):
         return replace(reply, requested=HeaderRange(10, 19))
 
     report, window = gossip.active_poll(
-        directory, window_of(chain[:20]), 1, random.Random(9), send
+        ["flaky:1"], window_of(chain[:20]), 1, random.Random(9), send
     )
     assert len(legs) == 2 and legs[1].payload_range == HeaderRange(10, 19)
     assert [address for address, _ in report.outcomes] == ["flaky:1"]
@@ -646,14 +649,13 @@ def test_exchange_absorbs_payload_on_second_reply(chain):
 
 def test_active_poll_flags_eclipse():
     honest, victim_chain = eclipse_fixture()
-    directory = gossip.record_protocol_server(ServerDirectory(), "honest:1", 0.0)
     server_window = window_of(honest)
 
     def send(address, msg):
         return gossip.server_respond(server_window, msg).reply
 
     report, window = gossip.active_poll(
-        directory, window_of(victim_chain), 1, random.Random(9), send
+        ["honest:1"], window_of(victim_chain), 1, random.Random(9), send
     )
     assert report.eclipse_suspected()
     assert window.tip() == honest[-1]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import blocksentinel
 from blocksentinel import metrics
-from blocksentinel.errors import EmptyTrace, InsufficientTier, UnknownServer, UnknownUser
+from blocksentinel.errors import EmptyTrace, UnknownServer, UnknownUser
 from blocksentinel.metrics import ConnectionRecord, ConnectionTrace
 
 
@@ -220,17 +220,6 @@ def test_unique_user_counts_and_assign_tiers():
     assert tiers == {"s0": 6, "s1": 6}
     with pytest.raises(EmptyTrace):
         metrics.assign_tiers(ConnectionTrace.from_records([], t0=0, t_max=1))
-
-
-def test_stratified_sample():
-    tiers = {f"s{i}": (1 if i < 3 else 6) for i in range(10)}
-    rng = random.Random(36)
-    picked = metrics.stratified_sample(tiers, [2, 0, 0, 0, 0, 3], rng)
-    assert len(picked) == 5
-    assert len(picked & {"s0", "s1", "s2"}) == 2
-    assert len(picked & {f"s{i}" for i in range(3, 10)}) == 3
-    with pytest.raises(InsufficientTier):
-        metrics.stratified_sample(tiers, [4], rng)
 
 
 # -- equivalence with a row scan ---------------------------------------------------

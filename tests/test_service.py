@@ -9,11 +9,11 @@ import urllib.request
 
 import pytest
 
-from blocksentinel import chainview, gossip, service
+from blocksentinel import gossip, service
 from blocksentinel.errors import ConfigInvalid, InvalidPayload
 from blocksentinel.gossip import GossipMessage, HeaderRange, REQUEST_ALL
 from blocksentinel.headers import compress, hash_hex
-from support import eclipse_fixture, mine_suffix, mined_chain, window_of
+from support import audit, eclipse_fixture, mine_suffix, mined_chain, window_of
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ def test_server_state_concurrent_exchanges_converge(chain):
     for t in threads:
         t.join()
     assert state.window().tip() == strong[-1]
-    chainview.audit(state.window())
+    audit(state.window())
 
 
 def test_server_state_responds_once_per_exchange_under_contention(chain, monkeypatch):
@@ -185,6 +185,24 @@ def test_middleware_passes_inner_app_through(chain):
         assert reply.payload is not None
     finally:
         handle.close()
+
+
+def test_middleware_drops_oversized_gossip_request(chain):
+    state = service.ServerState(window_of(chain[:20]))
+    before = state.window()
+    middleware = service.GossipMiddleware(
+        service._default_app, state, gossip.GossipConfig(header_budget=256)
+    )
+    msg = GossipMessage(HeaderRange(0, 39), None, compress(chain[20:40]), HeaderRange(20, 39))
+    environ = {"PATH_INFO": "/"}
+    for name, value in gossip.encode_header_fields(msg):
+        environ["HTTP_" + name.upper().replace("-", "_")] = value
+    sent = []
+    body = middleware(environ, lambda status, headers, exc_info=None: sent.append(headers))
+    assert b"".join(body) == b"ok\n"
+    assert not [name for name, _ in sent[0] if name.lower().startswith("x-gossip")]
+    assert state.window() is before
+    assert state.status()["stats"]["exchanges"] == 0
 
 
 def test_http_send_rejects_gossip_less_peer():

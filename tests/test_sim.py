@@ -15,6 +15,7 @@ from blocksentinel import alerts, chainview, sim
 from blocksentinel.errors import ConfigInvalid
 from blocksentinel.headers import encode_wire
 from blocksentinel.sim import DiurnalProfile, ScenarioConfig
+from support import audit
 
 
 def test_generate_chain_is_valid_and_deterministic():
@@ -24,7 +25,7 @@ def test_generate_chain_is_valid_and_deterministic():
     window = chainview.HeaderWindow(capacity=64)
     for height, header in enumerate(chain):
         window = chainview.append(window, header, height)
-    chainview.audit(window)
+    audit(window)
     stamps = [h.timestamp for h in chain]
     assert stamps == sorted(stamps)
     wire = b"".join(encode_wire(header) for header in chain)
