@@ -40,11 +40,10 @@ class BlockTimingModel:
     """Poisson block-arrival model with a conservative mean interval."""
 
     mean_block_minutes: float = 12.0
-    nominal_mean_minutes: float = 10.0
 
     def __post_init__(self):
-        if self.mean_block_minutes <= 0 or self.nominal_mean_minutes <= 0:
-            raise ValueError("mean block intervals must be positive")
+        if self.mean_block_minutes <= 0:
+            raise ValueError("mean block interval must be positive")
 
 
 DEFAULT_MODEL = BlockTimingModel()
@@ -213,38 +212,38 @@ class AttackerModel:
         return self.base_mean_minutes / self.alpha
 
 
-def _escape_threshold(level: AlertLevel, n_blocks: int, model: BlockTimingModel) -> float:
-    """Boundary-inclusive span threshold an n_blocks attack chain must beat."""
+# Length of the attack chain the escape probabilities describe, the one
+# REFERENCE_ESCAPE_PROBABILITIES was published for.
+ESCAPE_BLOCKS = 7
+
+
+def _escape_threshold(level: AlertLevel, model: BlockTimingModel) -> float:
+    """Boundary-inclusive span threshold an ESCAPE_BLOCKS attack chain must beat."""
     if level == AlertLevel.GREEN:
         raise ValueError("green is not an alertable level")
-    return alert_thresholds(n_blocks + 1, model)[level]
+    return alert_thresholds(ESCAPE_BLOCKS + 1, model)[level]
 
 
 def attacker_escape_probability(
     attacker: AttackerModel,
     level: AlertLevel,
-    n_blocks: int = 7,
     detection_model: BlockTimingModel = DEFAULT_MODEL,
 ) -> float:
-    """Chance the attacker finishes its n_blocks chain under the alert bar.
+    """Chance the attacker finishes its ESCAPE_BLOCKS chain under the alert bar.
 
-    The span check monitors the window in which n_blocks blocks appear,
+    The span check monitors the window in which ESCAPE_BLOCKS blocks appear,
     counted boundary-inclusive, so the threshold is the quantile one stage
-    above n_blocks, and escaping means the attacker's Erlang(n_blocks + 1)
-    completion time stays below it.
+    above ESCAPE_BLOCKS, and escaping means the attacker's
+    Erlang(ESCAPE_BLOCKS + 1) completion time stays below it.
     """
-    threshold = _escape_threshold(level, n_blocks, detection_model)
-    pace = BlockTimingModel(
-        mean_block_minutes=attacker.mean_block_minutes(),
-        nominal_mean_minutes=detection_model.nominal_mean_minutes,
-    )
-    return 1.0 - prob_at_most_n_blocks(n_blocks, threshold, pace)
+    threshold = _escape_threshold(level, detection_model)
+    pace = BlockTimingModel(attacker.mean_block_minutes())
+    return 1.0 - prob_at_most_n_blocks(ESCAPE_BLOCKS, threshold, pace)
 
 
 def attacker_escape_probability_mc(
     attacker: AttackerModel,
     level: AlertLevel,
-    n_blocks: int = 7,
     detection_model: BlockTimingModel = DEFAULT_MODEL,
     trials: int = 10**6,
     seed: int = 0,
@@ -255,11 +254,11 @@ def attacker_escape_probability_mc(
     attacker's chain completes inside the threshold; a cross-check on the
     closed form, not a replacement for it.
     """
-    threshold = _escape_threshold(level, n_blocks, detection_model)
+    threshold = _escape_threshold(level, detection_model)
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = numpy.random.default_rng(seed)
-    gaps = rng.exponential(attacker.mean_block_minutes(), size=(trials, n_blocks + 1))
+    gaps = rng.exponential(attacker.mean_block_minutes(), size=(trials, ESCAPE_BLOCKS + 1))
     hits = int(numpy.count_nonzero(gaps.sum(axis=1) <= threshold))
     estimate = hits / trials
     std_error = math.sqrt(max(estimate * (1.0 - estimate), 1.0 / trials) / trials)

@@ -13,7 +13,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from . import alerts, metrics, service, sim
+from . import alerts, chainview, metrics, service, sim
 from .errors import SentinelError
 
 EXIT_OK = 0
@@ -137,7 +137,8 @@ def _run_until_stopped(handle, run_seconds: float | None) -> int:
 
 def _cmd_serve(args) -> int:
     host, port = _split_listen(args.listen)
-    handle = service.serve(host=host, port=port, capacity=args.window)
+    window = chainview.HeaderWindow(capacity=args.window)
+    handle = service.serve(host=host, port=port, initial_window=window)
     print(f"serving on {handle.address}", flush=True)
     return _run_until_stopped(handle, args.run_seconds)
 
@@ -166,7 +167,7 @@ def _emit_check(daemon: service.ClientDaemon, report) -> int:
         {
             "polled": [address for address, _ in report.outcomes],
             "failures": list(report.failures),
-            "eclipseSuspected": report.eclipse_suspected(),
+            "eclipseSuspected": report.eclipse_suspected,
             "status": daemon.status(),
         },
         None,

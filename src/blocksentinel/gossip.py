@@ -457,6 +457,7 @@ class PollReport:
     outcomes: tuple[tuple[str, ExchangeOutcome], ...]
     failures: tuple[tuple[str, str], ...]
 
+    @property
     def eclipse_suspected(self) -> bool:
         return any(outcome.eclipse_suspected for _, outcome in self.outcomes)
 

@@ -98,20 +98,13 @@ class GossipMiddleware:
     response must never depend on gossip health.
     """
 
-    def __init__(
-        self,
-        app,
-        state: ServerState,
-        config: gossip.GossipConfig = gossip.DEFAULT_CONFIG,
-        status_path: str = STATUS_PATH,
-    ):
+    def __init__(self, app, state: ServerState, config: gossip.GossipConfig = gossip.DEFAULT_CONFIG):
         self.app = app
         self.state = state
         self.config = config
-        self.status_path = status_path
 
     def __call__(self, environ, start_response):
-        if environ.get("PATH_INFO") == self.status_path:
+        if environ.get("PATH_INFO") == STATUS_PATH:
             body = json.dumps(self.state.status()).encode()
             start_response(
                 "200 OK",
@@ -173,17 +166,11 @@ class ServerHandle:
 
 
 def serve(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    app=None,
-    initial_window: HeaderWindow | None = None,
-    capacity: int = DEFAULT_CAPACITY,
-    config: gossip.GossipConfig = gossip.DEFAULT_CONFIG,
+    host: str = "127.0.0.1", port: int = 0, app=None, initial_window: HeaderWindow | None = None
 ) -> ServerHandle:
     """Start a threaded gossip server; port 0 picks a free port."""
-    window = initial_window if initial_window is not None else HeaderWindow(capacity=capacity)
-    state = ServerState(window)
-    wrapped = GossipMiddleware(app if app is not None else _default_app, state, config)
+    state = ServerState(initial_window)
+    wrapped = GossipMiddleware(app if app is not None else _default_app, state)
     httpd = make_server(host, port, wrapped, server_class=_ThreadedServer, handler_class=_QuietHandler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -191,20 +178,16 @@ def serve(
 
 
 def http_send(
-    address: str,
-    msg: gossip.GossipMessage,
-    timeout: float = 10.0,
-    path: str = "/",
-    budget: int = gossip.DEFAULT_HEADER_BUDGET,
+    address: str, msg: gossip.GossipMessage, timeout: float = 10.0, path: str = "/"
 ) -> gossip.GossipMessage:
     """One gossip round-trip over HTTP request/response header fields."""
     host, _, port = address.partition(":")
     conn = http.client.HTTPConnection(host, int(port) if port else 80, timeout=timeout)
     try:
-        conn.request("GET", path, headers=dict(gossip.encode_header_fields(msg, budget)))
+        conn.request("GET", path, headers=dict(gossip.encode_header_fields(msg)))
         response = conn.getresponse()
         response.read()
-        reply = gossip.decode_header_fields(response.getheaders(), budget)
+        reply = gossip.decode_header_fields(response.getheaders())
     finally:
         conn.close()
     if reply is None:
@@ -218,8 +201,6 @@ class ClientDaemonConfig:
     confirmations: int = 6
     active_sample_size: int = 3
     inactivity_alert_hours: float = 8.0
-    transport_budget_bytes: int = gossip.DEFAULT_HEADER_BUDGET
-    anchor_height: int = 0
     servers: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -228,12 +209,9 @@ class ClientDaemonConfig:
             self.confirmations,
             self.active_sample_size,
             self.inactivity_alert_hours,
-            self.transport_budget_bytes,
         )
         if any(value <= 0 for value in positive):
             raise ConfigInvalid("daemon settings must be positive")
-        if self.anchor_height < 0:
-            raise ConfigInvalid("anchor_height cannot be negative")
 
     @classmethod
     def from_file(cls, path) -> "ClientDaemonConfig":
@@ -251,7 +229,10 @@ class ClientDaemonConfig:
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         if "servers" in data:
-            data["servers"] = tuple(data["servers"])
+            servers = data["servers"]
+            if not isinstance(servers, list) or not all(isinstance(s, str) for s in servers):
+                raise ConfigInvalid("servers must be a JSON list of address strings")
+            data["servers"] = tuple(servers)
         try:
             return cls(**data)
         except TypeError as err:
@@ -278,22 +259,17 @@ class ClientDaemon:
         transport=http_send,
         clock=time.time,
         rng: random.Random | None = None,
-        model: alerts.BlockTimingModel = alerts.DEFAULT_MODEL,
     ):
         self.config = config
         self.transport = transport
         self.clock = clock
         self.rng = rng if rng is not None else random.Random()
-        self.model = model
-        self.window = HeaderWindow(
-            capacity=config.window_capacity, start_height=config.anchor_height
-        )
+        self.window = HeaderWindow(capacity=config.window_capacity)
         self.alert_state = alerts.AlertState(confirmations=config.confirmations)
         # Address -> last time it answered with well-formed gossip fields.
         self.directory: dict[str, float] = dict.fromkeys(config.servers, 0.0)
         self.alert_log: list[DaemonAlert] = []
         self.last_view_update: float = clock()
-        self._gossip_cfg = gossip.GossipConfig(header_budget=config.transport_budget_bytes)
         self._pending: dict[str, gossip.GossipMessage] = {}
         self._standing: set = set()
         self._lock = threading.RLock()
@@ -303,29 +279,26 @@ class ClientDaemon:
     def outgoing_fields(self, address: str) -> list[tuple[str, str]]:
         """Gossip fields to splice into the next request toward `address`."""
         with self._lock:
-            msg = gossip.client_initiate(self.window, self._gossip_cfg)
+            msg = gossip.client_initiate(self.window)
             pending = self._pending.pop(address, None)
             if pending is not None and pending.payload is not None:
                 msg = replace(
                     msg, payload=pending.payload, payload_range=pending.payload_range
                 )
-            return gossip.encode_header_fields(msg, self._gossip_cfg.header_budget)
+            return gossip.encode_header_fields(msg)
 
     def ingest_response(self, address: str, fields) -> gossip.ExchangeOutcome | None:
         """Digest response fields from `address`; None if it spoke no gossip."""
-        if isinstance(fields, gossip.GossipMessage):
-            msg = fields
-        else:
-            try:
-                msg = gossip.decode_header_fields(fields, self._gossip_cfg.header_budget)
-            except SentinelError:
-                return None
+        try:
+            msg = gossip.decode_header_fields(fields)
+        except SentinelError:
+            return None
         if msg is None:
             return None
         now = self.clock()
         with self._lock:
             pre = self.window
-            exchange = gossip.client_fulfill(self.window, msg, self._gossip_cfg)
+            exchange = gossip.client_fulfill(self.window, msg)
             self.window = exchange.window
             self.directory[address] = now
             if exchange.follow_up is not None:
@@ -346,7 +319,6 @@ class ClientDaemon:
                 self.config.active_sample_size,
                 self.rng,
                 self.transport,
-                self._gossip_cfg,
             )
             self._digest_view_change(pre, report.outcomes, now)
             return report
@@ -369,7 +341,7 @@ class ClientDaemon:
         now = self.clock() if now is None else now
         with self._lock:
             before = len(self.alert_log)
-            assessment = alerts.evaluate(self.alert_state, now / 60.0, self.model)
+            assessment = alerts.evaluate(self.alert_state, now / 60.0)
             for kind, level in (("type1", assessment.type1), ("type2", assessment.type2)):
                 if level >= alerts.AlertLevel.YELLOW and (kind, level) not in self._standing:
                     self._standing.add((kind, level))
@@ -432,14 +404,10 @@ class DaemonHandle:
 
 
 def run_client_daemon(
-    config: ClientDaemonConfig,
-    transport=http_send,
-    tick_seconds: float = 60.0,
-    clock=time.time,
-    rng: random.Random | None = None,
+    config: ClientDaemonConfig, tick_seconds: float = 60.0, rng: random.Random | None = None
 ) -> DaemonHandle:
     """Start a daemon whose alert engine ticks on a background thread."""
-    daemon = ClientDaemon(config, transport=transport, clock=clock, rng=rng)
+    daemon = ClientDaemon(config, rng=rng)
     stop = threading.Event()
 
     def _loop():

@@ -65,21 +65,16 @@ def block_creation_times(
 
 
 def generate_chain(
-    mean_minutes: float,
-    n_blocks: int,
-    n_bits: int = EASY_NBITS,
-    rng: random.Random | None = None,
-    prev_hash: bytes = b"\x00" * 32,
-    start_unix: int = 1_600_000_000,
-    version: int = DEFAULT_VERSION,
+    mean_minutes: float, n_blocks: int, rng: random.Random | None = None
 ) -> list[BlockHeader]:
-    """Mine a linked chain whose gaps are exponential with the given mean."""
+    """Mine a linked chain from the zero hash at easy difficulty, stamped
+    from unix 1_600_000_000, whose gaps are exponential with the given mean."""
     if rng is None:
         rng = random.Random(0)
     # Lazy, so each block draws its gap before its merkle root.
     gaps = (rng.expovariate(1.0 / mean_minutes) for _ in range(n_blocks))
-    stamps = (start_unix + int(round(t * 60.0)) for t in accumulate(gaps))
-    return mine_chain(prev_hash, stamps, n_bits, rng, version)
+    stamps = (1_600_000_000 + int(round(t * 60.0)) for t in accumulate(gaps))
+    return mine_chain(b"\x00" * 32, stamps, EASY_NBITS, rng)
 
 
 @dataclass(frozen=True)
@@ -199,7 +194,6 @@ class _SimUser:
     window: HeaderWindow
     alert_state: alerts.AlertState
     alert_generation: int = 0
-    raised: set = field(default_factory=set)
     first_alert_minutes: float | None = None
     first_gossip_minutes: float | None = None
 
@@ -323,10 +317,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     weights = _tier_weights(config)
     schedule = _connection_times(config, rng_conn)
 
-    detection_model = alerts.BlockTimingModel(
-        mean_block_minutes=config.detection_mean_block_minutes,
-        nominal_mean_minutes=config.honest_mean_block_minutes,
-    )
+    detection_model = alerts.BlockTimingModel(config.detection_mean_block_minutes)
     gossip_cfg = gossip.GossipConfig()
 
     events: list[dict] = []
@@ -353,7 +344,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                 user.alert_state, unix_to_minutes(header.timestamp), now
             )
         user.alert_generation += 1
-        user.raised.clear()
         gen = user.alert_generation
         for check, level, cross in alerts.next_crossings(
             user.alert_state, detection_model, config.boundary_inclusive
@@ -442,7 +432,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         elif kind == "alert":
             _, uid, alert_kind, level, gen = payload
             user = users[int(uid[1:])]
-            if gen != user.alert_generation or (alert_kind, level) in user.raised:
+            if gen != user.alert_generation:
                 continue
             assessment = alerts.evaluate(
                 user.alert_state, now, detection_model,
@@ -451,7 +441,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
             current = assessment.type1 if alert_kind == "type1" else assessment.type2
             if current < level:
                 continue
-            user.raised.add((alert_kind, level))
             log(now, "alert", user=user.uid, alert=alert_kind, level=level.name.lower())
             if user.eclipsed and now >= eclipse_t and user.first_alert_minutes is None:
                 user.first_alert_minutes = now

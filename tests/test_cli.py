@@ -225,6 +225,26 @@ def test_serve_bad_listen():
     assert cli.main(["serve", "--listen", "no-port"]) == 1
 
 
+def test_serve_window_sets_initial_window_capacity(monkeypatch):
+    handed = {}
+
+    class _Handle:
+        address = "127.0.0.1:0"
+
+        def close(self):
+            pass
+
+    def fake_serve(**kwargs):
+        handed.update(kwargs)
+        return _Handle()
+
+    monkeypatch.setattr(service, "serve", fake_serve)
+    assert cli.main(["serve", "--window", "16", "--run-seconds", "0"]) == 0
+    window = handed["initial_window"]
+    assert window.capacity == 16
+    assert window.is_empty()
+
+
 def test_daemon_once_against_live_server(tmp_path, capsys):
     chain = mined_chain(12, random.Random(42))
     handle = service.serve(initial_window=window_of(chain))
@@ -260,6 +280,14 @@ def test_zero_sample_override_is_rejected(tmp_path, capsys, argv):
     config.write_text(json.dumps({"servers": []}))
     assert cli.main(argv + ["--config", str(config)]) == 2
     assert "daemon settings must be positive" in capsys.readouterr().err
+
+
+def test_check_rejects_servers_given_as_one_string(tmp_path, capsys):
+    # tuple("127.0.0.1:9") would poll eleven one-character addresses.
+    config = tmp_path / "daemon.json"
+    config.write_text(json.dumps({"servers": "127.0.0.1:9"}))
+    assert cli.main(["check", "--config", str(config)]) == 2
+    assert "servers must be a JSON list" in capsys.readouterr().err
 
 
 def test_check_command(tmp_path, capsys):

@@ -580,8 +580,12 @@ def test_active_poll_samples_and_aggregates(chain):
     assert len(set(contacted)) == 3
     assert len(report.outcomes) == 3
     assert report.failures == ()
-    assert not report.eclipse_suspected()
+    assert not report.eclipse_suspected
     assert window.tip_height() > 19
+
+
+def test_poll_report_without_outcomes_suspects_nothing():
+    assert not gossip.PollReport((), ()).eclipse_suspected
 
 
 def test_active_poll_caps_sample_at_population():
@@ -657,5 +661,5 @@ def test_active_poll_flags_eclipse():
     report, window = gossip.active_poll(
         ["honest:1"], window_of(victim_chain), 1, random.Random(9), send
     )
-    assert report.eclipse_suspected()
+    assert report.eclipse_suspected
     assert window.tip() == honest[-1]

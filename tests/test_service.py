@@ -277,7 +277,7 @@ def test_daemon_pending_payload_rides_next_request(chain):
     daemon.window = window_of(chain[:30])
     server = service.ServerState(window_of(chain[:20]))
     reply = server.exchange(gossip.decode_header_fields(daemon.outgoing_fields("s:1")))
-    daemon.ingest_response("s:1", reply)
+    daemon.ingest_response("s:1", gossip.encode_header_fields(reply))
     carried = gossip.decode_header_fields(daemon.outgoing_fields("s:1"))
     assert carried.payload is not None
     assert carried.payload_range == HeaderRange(20, 29)
@@ -296,7 +296,7 @@ def test_daemon_raises_eclipse_alert(chain):
     daemon.window = window_of(victim_chain)
     server = service.ServerState(window_of(honest))
     reply = server.exchange(gossip.decode_header_fields(daemon.outgoing_fields("s:1")))
-    outcome = daemon.ingest_response("s:1", reply)
+    outcome = daemon.ingest_response("s:1", gossip.encode_header_fields(reply))
     assert outcome.eclipse_suspected
     kinds = [alert.kind for alert in daemon.alert_log]
     assert "eclipse" in kinds
@@ -349,7 +349,7 @@ def test_daemon_active_check_detects_eclipse_end_to_end():
         daemon = service.ClientDaemon(config, rng=random.Random(1))
         daemon.window = window_of(victim_chain)
         report = daemon.active_check()
-        assert report.eclipse_suspected()
+        assert report.eclipse_suspected
         assert daemon.window.tip() == honest[-1]
         assert any(a.kind == "eclipse" for a in daemon.alert_log)
     finally:
